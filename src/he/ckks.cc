@@ -12,6 +12,9 @@ Result<std::shared_ptr<const CkksContext>> CkksContext::Create(
   if (params.poly_degree < 8) {
     return Status::InvalidArgument("CkksContext: poly_degree too small");
   }
+  if (!(params.noise_sigma > 0.0)) {
+    return Status::InvalidArgument("CkksContext: noise_sigma must be positive");
+  }
   for (int bits : params.prime_bits) {
     if (bits < 30 || bits > 59) {
       return Status::InvalidArgument(
@@ -48,29 +51,31 @@ CkksPublicKey CkksContext::GeneratePublicKey(const CkksSecretKey& sk,
   return pk;
 }
 
-CkksCiphertext CkksContext::Encrypt(const CkksPublicKey& pk,
-                                    const RnsPoly& plaintext, double scale,
-                                    Rng* rng) const {
-  // Per-thread scratch for the three masking polynomials: every component is
-  // overwritten by the samplers, and the Rng consumption is identical to the
-  // allocating SampleTernary/SampleGaussian, so reuse is invisible to both
-  // determinism and callers. Saves three n * num_primes allocations per
-  // encryption — the oracle's hottest allocation site.
-  thread_local RnsPoly u, e0, e1;
+Result<CkksCiphertext> CkksContext::EncryptVector(
+    const CkksPublicKey& pk, std::span<const double> values,
+    Rng* rng) const {
+  // Per-thread scratch for the plaintext and the three masking polynomials:
+  // every component is overwritten by the encoder and the samplers, so
+  // reuse is invisible to determinism and to callers, and saves four
+  // n * num_primes allocations per encryption.
+  thread_local RnsPoly m, u, e0, e1;
+  VFPS_RETURN_NOT_OK(encoder_->EncodeCoeffs(values, params_.scale, &m));
   SampleTernaryInto(*rns_, rng, &u);
   ToNtt(*rns_, &u);
+  // e0 joins the plaintext in coefficient form: the NTT is linear mod q, so
+  // one transform of m + e0 equals NTT(m) + NTT(e0) exactly.
   SampleGaussianInto(*rns_, rng, &e0, params_.noise_sigma);
-  ToNtt(*rns_, &e0);
+  AddInPlace(*rns_, &m, e0);
+  ToNtt(*rns_, &m);
   SampleGaussianInto(*rns_, rng, &e1, params_.noise_sigma);
   ToNtt(*rns_, &e1);
 
   CkksCiphertext ct;
-  ct.scale = scale;
-  // c0 = b*u + e0 + m
+  ct.scale = params_.scale;
+  // c0 = b*u + (m + e0)
   ct.c0 = pk.b;
   MulPointwiseInPlace(*rns_, &ct.c0, u);
-  AddInPlace(*rns_, &ct.c0, e0);
-  AddInPlace(*rns_, &ct.c0, plaintext);
+  AddInPlace(*rns_, &ct.c0, m);
   // c1 = a*u + e1
   ct.c1 = pk.a;
   MulPointwiseInPlace(*rns_, &ct.c1, u);
@@ -85,13 +90,6 @@ RnsPoly CkksContext::Decrypt(const CkksSecretKey& sk,
   MulPointwiseInPlace(*rns_, &m, sk.s);
   AddInPlace(*rns_, &m, ct.c0);
   return m;
-}
-
-Result<CkksCiphertext> CkksContext::EncryptVector(
-    const CkksPublicKey& pk, std::span<const double> values,
-    Rng* rng) const {
-  VFPS_ASSIGN_OR_RETURN(RnsPoly pt, encoder_->Encode(values, params_.scale));
-  return Encrypt(pk, pt, params_.scale, rng);
 }
 
 Result<std::vector<double>> CkksContext::DecryptVector(

@@ -72,16 +72,14 @@ class CkksContext {
   CkksSecretKey GenerateSecretKey(Rng* rng) const;
   CkksPublicKey GeneratePublicKey(const CkksSecretKey& sk, Rng* rng) const;
 
-  /// Encrypt an already-encoded plaintext polynomial (NTT form).
-  CkksCiphertext Encrypt(const CkksPublicKey& pk, const RnsPoly& plaintext,
-                         double scale, Rng* rng) const;
-
   /// Decrypt to the plaintext polynomial (NTT form); decode separately.
   RnsPoly Decrypt(const CkksSecretKey& sk, const CkksCiphertext& ct) const;
 
   /// Encode + encrypt at most slot_count() doubles. Takes a span so batched
   /// callers can encrypt slot-count()-sized windows of a longer vector
-  /// without copying; slots past `values.size()` encode as zero.
+  /// without copying; slots past `values.size()` encode as zero. Computes
+  /// c0 = b*u + NTT(m + e0) and c1 = a*u + e1, drawing u, e0, e1 from `rng`
+  /// in that order.
   Result<CkksCiphertext> EncryptVector(const CkksPublicKey& pk,
                                        std::span<const double> values,
                                        Rng* rng) const;

@@ -2,6 +2,7 @@
 #include "he/rns.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/string_util.h"
 #include "he/modarith.h"
@@ -45,6 +46,8 @@ Result<std::shared_ptr<const RnsContext>> RnsContext::Create(
   if (ctx->primes_.size() == 2) {
     ctx->crt_q0_inv_q1_ =
         InvMod(ctx->primes_[0] % ctx->primes_[1], ctx->primes_[1]);
+    ctx->crt_q0_inv_q1_shoup_ =
+        ShoupPrecompute(ctx->crt_q0_inv_q1_, ctx->primes_[1]);
   }
   // Rescale drops the last prime; cache (q_last mod q_i)^{-1} for each
   // retained prime so the hot path never calls InvMod.
@@ -86,18 +89,47 @@ RnsPoly SampleUniform(const RnsContext& ctx, Rng* rng) {
 }
 
 namespace {
-// Writes the same small signed value into every RNS component. |v| is tiny
-// (ternary or a few sigmas of noise) and every prime exceeds 2^29, so the
-// Barrett fallback division never triggers in practice.
-void SetSmallSigned(const RnsContext& ctx, RnsPoly* p, size_t j, int64_t v) {
-  for (size_t i = 0; i < ctx.num_primes(); ++i) {
-    const uint64_t q = ctx.prime(i);
-    uint64_t mag = static_cast<uint64_t>(v >= 0 ? v : -v);
-    if (mag >= q) mag = BarrettReduce64(mag, ctx.modulus(i));
-    p->residues[i][j] = (v >= 0 || mag == 0) ? mag : q - mag;
+// Cumulative distribution of |v| for v = round(N(0, sigma^2)) in units of
+// 2^-63: cdf[k] = 2^63 - round(2^63 * P(|v| > k)) for every k whose tail
+// rounds to a nonzero count (`bound` entries). Built from erfc, which stays
+// accurate in the tail where 1 - erf would cancel. The table is padded to a
+// multiple of four with entries no 63-bit value reaches, so the sampler's
+// scan runs four independent counters.
+struct GaussianCdt {
+  double sigma = std::numeric_limits<double>::quiet_NaN();  // none built yet
+  size_t bound = 0;
+  std::vector<uint64_t> cdf;
+};
+
+GaussianCdt BuildGaussianCdt(double sigma) {
+  GaussianCdt table;
+  table.sigma = sigma;
+  const double inv = 1.0 / (sigma * std::sqrt(2.0));
+  for (int64_t k = 0;; ++k) {
+    const double tail = std::erfc((static_cast<double>(k) + 0.5) * inv);
+    const auto count = static_cast<uint64_t>(std::round(std::ldexp(tail, 63)));
+    if (count == 0) break;
+    table.cdf.push_back((uint64_t{1} << 63) - count);
   }
+  table.bound = table.cdf.size();
+  while (table.cdf.size() % 4 != 0) {
+    table.cdf.push_back(~uint64_t{0});
+  }
+  return table;
+}
+
+// The table for `sigma`, built on first use per thread (every caller in the
+// tree passes the same sigma, so this is one build per thread).
+const GaussianCdt& GaussianCdtFor(double sigma) {
+  thread_local GaussianCdt table;
+  if (table.sigma != sigma) table = BuildGaussianCdt(sigma);
+  return table;
 }
 }  // namespace
+
+int64_t GaussianTailBound(double sigma) {
+  return static_cast<int64_t>(GaussianCdtFor(sigma).bound);
+}
 
 RnsPoly SampleTernary(const RnsContext& ctx, Rng* rng) {
   RnsPoly p = ZeroPoly(ctx);
@@ -114,17 +146,42 @@ RnsPoly SampleGaussian(const RnsContext& ctx, Rng* rng, double sigma) {
 void SampleTernaryInto(const RnsContext& ctx, Rng* rng, RnsPoly* out) {
   ResizePoly(ctx, out);
   for (size_t j = 0; j < ctx.n(); ++j) {
-    const int64_t v = static_cast<int64_t>(rng->NextBounded(3)) - 1;
-    SetSmallSigned(ctx, out, j, v);
+    // rng->NextBounded(3) inlined: its rejection threshold 2^64 mod 3 = 1
+    // rejects only r = 0, so the draws and values are the same, and the
+    // constant divisor turns % into a multiply.
+    uint64_t r = rng->Next();
+    while (r == 0) r = rng->Next();
+    const uint64_t t = r % 3;  // the coefficient is t - 1
+    // t - 1 mod q without a data-dependent branch: add q when t - 1 wraps.
+    const uint64_t wrap = 0 - static_cast<uint64_t>(t == 0);
+    for (size_t i = 0; i < ctx.num_primes(); ++i) {
+      out->residues[i][j] = (t - 1) + (ctx.prime(i) & wrap);
+    }
   }
 }
 
 void SampleGaussianInto(const RnsContext& ctx, Rng* rng, RnsPoly* out,
                         double sigma) {
   ResizePoly(ctx, out);
+  const std::vector<uint64_t>& cdf = GaussianCdtFor(sigma).cdf;
+  const uint64_t* table = cdf.data();
   for (size_t j = 0; j < ctx.n(); ++j) {
-    const int64_t v = static_cast<int64_t>(std::llround(rng->Normal(0.0, sigma)));
-    SetSmallSigned(ctx, out, j, v);
+    const uint64_t r = rng->Next();
+    const uint64_t low = r & ((uint64_t{1} << 63) - 1);
+    uint64_t m0 = 0, m1 = 0, m2 = 0, m3 = 0;
+    for (size_t k = 0; k < cdf.size(); k += 4) {
+      m0 += low >= table[k] ? 1 : 0;
+      m1 += low >= table[k + 1] ? 1 : 0;
+      m2 += low >= table[k + 2] ? 1 : 0;
+      m3 += low >= table[k + 3] ? 1 : 0;
+    }
+    const uint64_t mag = (m0 + m1) + (m2 + m3);
+    // The top bit is the sign: q - mag when set and mag != 0, else mag,
+    // without a data-dependent branch (mag is far below every prime).
+    const uint64_t neg = 0 - ((r >> 63) & static_cast<uint64_t>(mag != 0));
+    for (size_t i = 0; i < ctx.num_primes(); ++i) {
+      out->residues[i][j] = ((mag ^ neg) - neg) + (ctx.prime(i) & neg);
+    }
   }
 }
 
@@ -180,20 +237,6 @@ void FromNtt(const RnsContext& ctx, RnsPoly* a) {
   a->ntt_form = false;
 }
 
-void SetCoeffFromInt128(const RnsContext& ctx, RnsPoly* poly, size_t idx,
-                        __int128 value) {
-  const unsigned __int128 mag =
-      value >= 0 ? static_cast<unsigned __int128>(value)
-                 : static_cast<unsigned __int128>(-value);
-  const uint64_t lo = static_cast<uint64_t>(mag);
-  const uint64_t hi = static_cast<uint64_t>(mag >> 64);
-  for (size_t i = 0; i < poly->num_primes(); ++i) {
-    const uint64_t r = BarrettReduce128(lo, hi, ctx.modulus(i));
-    poly->residues[i][idx] =
-        (value >= 0 || r == 0) ? r : ctx.prime(i) - r;
-  }
-}
-
 unsigned __int128 ComposeCoeffU128(const RnsContext& ctx, const RnsPoly& poly,
                                    size_t idx) {
   if (poly.num_primes() == 1) return poly.residues[0][idx];
@@ -201,8 +244,12 @@ unsigned __int128 ComposeCoeffU128(const RnsContext& ctx, const RnsPoly& poly,
   const uint64_t q2 = ctx.prime(1);
   const uint64_t r1 = poly.residues[0][idx];
   const uint64_t r2 = poly.residues[1][idx];
-  const uint64_t diff = SubMod(r2 % q2, r1 % q2, q2);
-  const uint64_t t = MulMod(diff, ctx.crt_q0_inv_q1(), q2);
+  // Residues are below their own prime, so only r1 needs reducing mod q2
+  // (q1 may exceed q2); Barrett and the cached Shoup companion replace the
+  // hardware divisions.
+  const uint64_t diff = SubMod(r2, BarrettReduce64(r1, ctx.modulus(1)), q2);
+  const uint64_t t = MulModShoup(diff, ctx.crt_q0_inv_q1(),
+                                 ctx.crt_q0_inv_q1_shoup(), q2);
   return static_cast<unsigned __int128>(r1) +
          static_cast<unsigned __int128>(q1) * t;
 }

@@ -44,8 +44,10 @@ class RnsContext {
   /// Q as a long double (used only for headroom checks, never for arithmetic).
   long double modulus_approx() const { return q_approx_; }
 
-  /// q_0^{-1} mod q_1, cached for CRT composition (two-prime contexts only).
+  /// q_0^{-1} mod q_1, cached for CRT composition (two-prime contexts only),
+  /// with its Shoup companion for division-free multiplication.
   uint64_t crt_q0_inv_q1() const { return crt_q0_inv_q1_; }
+  uint64_t crt_q0_inv_q1_shoup() const { return crt_q0_inv_q1_shoup_; }
 
  private:
   RnsContext() = default;
@@ -54,6 +56,7 @@ class RnsContext {
   std::vector<NttTables> ntt_;
   long double q_approx_ = 0.0L;
   uint64_t crt_q0_inv_q1_ = 0;
+  uint64_t crt_q0_inv_q1_shoup_ = 0;
   std::vector<uint64_t> rescale_inv_;
   std::vector<uint64_t> rescale_inv_shoup_;
 };
@@ -80,11 +83,21 @@ void ResizePoly(const RnsContext& ctx, RnsPoly* p);
 /// Uniform element of R_Q (directly usable in either form; sampled per prime).
 RnsPoly SampleUniform(const RnsContext& ctx, Rng* rng);
 
-/// Ternary secret {-1, 0, 1}; returned in coefficient form.
+/// Ternary secret {-1, 0, 1}, each coefficient drawn as
+/// rng->NextBounded(3) - 1; returned in coefficient form.
 RnsPoly SampleTernary(const RnsContext& ctx, Rng* rng);
 
-/// Centered discrete gaussian error (sigma ~ 3.2); coefficient form.
+/// \brief Centered discrete gaussian error; coefficient form.
+///
+/// Each coefficient is round(N(0, sigma^2)), drawn from a 63-bit cumulative
+/// distribution table with one rng->Next() per coefficient: the top bit is
+/// the sign, the low 63 bits select |v| by a branchless table scan. The
+/// table ends at GaussianTailBound(sigma); the rounded normal's mass past it
+/// is below 2^-64 and is cut.
 RnsPoly SampleGaussian(const RnsContext& ctx, Rng* rng, double sigma = 3.2);
+
+/// Largest |v| SampleGaussian draws for this sigma (29 for sigma = 3.2).
+int64_t GaussianTailBound(double sigma);
 
 /// \brief Allocation-free variants writing into an existing polynomial
 /// (resized to the context's shape; all components overwritten). Each
@@ -109,10 +122,6 @@ void MulScalarInPlace(const RnsContext& ctx, RnsPoly* a, uint64_t scalar);
 void ToNtt(const RnsContext& ctx, RnsPoly* a);
 /// Transform to coefficient form; no-op if already there.
 void FromNtt(const RnsContext& ctx, RnsPoly* a);
-
-/// \brief Map a signed integer coefficient (|v| < Q/2) to RNS residues.
-void SetCoeffFromInt128(const RnsContext& ctx, RnsPoly* poly, size_t idx,
-                        __int128 value);
 
 /// \brief CRT-compose the residues of coefficient `idx` into the
 /// non-negative representative in [0, Q) (Q = product of the poly's primes).

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "he/modarith.h"
 
 namespace vfps::he {
@@ -36,7 +40,10 @@ TEST(RnsPolyTest, SetAndComposeRoundTripSigned) {
                              (static_cast<__int128>(1) << 100),
                              -(static_cast<__int128>(1) << 100)};
   for (size_t i = 0; i < std::size(values); ++i) {
-    SetCoeffFromInt128(*ctx, &poly, i, values[i]);
+    for (size_t p = 0; p < ctx->num_primes(); ++p) {
+      const auto q = static_cast<__int128>(ctx->prime(p));
+      poly.residues[p][i] = static_cast<uint64_t>(((values[i] % q) + q) % q);
+    }
   }
   for (size_t i = 0; i < std::size(values); ++i) {
     const double got = ComposeCoeffToDouble(*ctx, poly, i);
@@ -120,6 +127,85 @@ TEST(RnsPolyTest, TernaryAndGaussianAreSmall) {
   for (size_t c = 0; c < ctx->n(); ++c) {
     EXPECT_LT(std::abs(ComposeCoeffToDouble(*ctx, g, c)), 40.0);
   }
+}
+
+TEST(RnsSamplerTest, TernaryMatchesNextBoundedReference) {
+  // The sampler inlines rng->NextBounded(3): it must draw the same values
+  // and leave the generator in the same state.
+  auto ctx = MakeContext(1024);
+  Rng fast(17);
+  Rng reference(17);
+  for (int poly = 0; poly < 16; ++poly) {
+    const RnsPoly t = SampleTernary(*ctx, &fast);
+    for (size_t c = 0; c < ctx->n(); ++c) {
+      const int64_t want = static_cast<int64_t>(reference.NextBounded(3)) - 1;
+      for (size_t i = 0; i < ctx->num_primes(); ++i) {
+        const uint64_t residue = want < 0 ? ctx->prime(i) - 1 : want;
+        ASSERT_EQ(t.residues[i][c], residue) << "poly " << poly << " coeff " << c;
+      }
+    }
+  }
+  EXPECT_EQ(fast.Next(), reference.Next());
+}
+
+TEST(RnsSamplerTest, GaussianMatchesRoundedNormal) {
+  // v = round(N(0, sigma^2)) from the CDT sampler, over 10^6 draws.
+  constexpr double kSigma = 3.2;
+  constexpr int kPolys = 245;  // 245 * 4096 > 10^6
+  auto ctx = MakeContext(4096);
+  const int64_t bound = GaussianTailBound(kSigma);
+  EXPECT_EQ(bound, 29);
+  Rng rng(23);
+  std::vector<double> abs_counts(static_cast<size_t>(bound) + 1, 0.0);
+  double n = 0, sum = 0, sum2 = 0, sum4 = 0, positive = 0, negative = 0;
+  int64_t max_abs = 0;
+  for (int poly = 0; poly < kPolys; ++poly) {
+    const RnsPoly g = SampleGaussian(*ctx, &rng, kSigma);
+    for (size_t c = 0; c < ctx->n(); ++c) {
+      const uint64_t q0 = ctx->prime(0);
+      const uint64_t r = g.residues[0][c];
+      const int64_t v = r > q0 / 2 ? -static_cast<int64_t>(q0 - r)
+                                   : static_cast<int64_t>(r);
+      // Every prime carries the same small value.
+      const uint64_t q1 = ctx->prime(1);
+      ASSERT_EQ(g.residues[1][c], v < 0 ? q1 - static_cast<uint64_t>(-v)
+                                        : static_cast<uint64_t>(v));
+      const int64_t a = v < 0 ? -v : v;
+      max_abs = std::max(max_abs, a);
+      if (a <= bound) abs_counts[static_cast<size_t>(a)] += 1;
+      const double x = static_cast<double>(v);
+      n += 1;
+      sum += x;
+      sum2 += x * x;
+      sum4 += x * x * x * x;
+      positive += v > 0 ? 1 : 0;
+      negative += v < 0 ? 1 : 0;
+    }
+  }
+  EXPECT_LE(max_abs, bound);
+
+  const double var_expected = kSigma * kSigma + 1.0 / 12.0;
+  const double mean = sum / n;
+  EXPECT_LT(std::abs(mean), 4.0 * std::sqrt(var_expected / n)) << mean;
+  const double var = sum2 / n - mean * mean;
+  const double m4 = sum4 / n;
+  const double var_se = std::sqrt((m4 - var * var) / n);
+  EXPECT_LT(std::abs(var - var_expected), 4.0 * var_se)
+      << "variance " << var << " want " << var_expected;
+
+  // P(|v| = k) = P(k - 1/2 < |X| < k + 1/2) for X ~ N(0, sigma^2).
+  const auto cdf_abs = [&](double x) {
+    return std::erf(x / (kSigma * std::sqrt(2.0)));
+  };
+  for (int k = 0; k <= 8; ++k) {
+    const double p = k == 0 ? cdf_abs(0.5) : cdf_abs(k + 0.5) - cdf_abs(k - 0.5);
+    const double want = n * p;
+    const double se = std::sqrt(n * p * (1 - p));
+    EXPECT_LT(std::abs(abs_counts[static_cast<size_t>(k)] - want), 4.0 * se)
+        << "|v| = " << k << ": " << abs_counts[static_cast<size_t>(k)]
+        << " draws, want " << want;
+  }
+  EXPECT_LT(std::abs(positive - negative), 4.0 * std::sqrt(positive + negative));
 }
 
 TEST(RnsPolyTest, MulScalarMatchesRepeatedAdd) {

@@ -56,6 +56,9 @@
 //       Run one experiment grid cell and print the outcome.
 //   vfps_cli sweep --dataset=Bank [--model=lr] [...]
 //       Run every selection method on one configuration side by side.
+//
+// Exit codes: 0 on success; 1 when a command fails with a typed error, which
+// is printed on stderr; 2 for a malformed command line.
 
 #include <cstdio>
 #include <cstring>
@@ -213,52 +216,49 @@ int CmdDatasets() {
   return 0;
 }
 
-int CmdRun(const std::map<std::string, std::string>& flags) {
-  auto config = BuildConfig(flags);
-  config.status().Abort("config");
+Status CmdRun(const std::map<std::string, std::string>& flags) {
+  VFPS_ASSIGN_OR_RETURN(core::ExperimentConfig config, BuildConfig(flags));
   const std::string metrics_out = Get(flags, "metrics-out", "");
   const std::string trace_out = Get(flags, "trace-out", "");
-  auto interval = ParseDouble(Get(flags, "metrics-interval", "0"));
-  interval.status().Abort("metrics-interval");
-  if (*interval < 0.0) {
-    Status::InvalidArgument("--metrics-interval must be >= 0")
-        .Abort("metrics-interval");
+  VFPS_ASSIGN_OR_RETURN(double interval,
+                        ParseDouble(Get(flags, "metrics-interval", "0")));
+  if (interval < 0.0) {
+    return Status::InvalidArgument("--metrics-interval must be >= 0");
   }
-  if (*interval > 0.0 && metrics_out.empty()) {
-    Status::InvalidArgument("--metrics-interval requires --metrics-out")
-        .Abort("metrics-interval");
+  if (interval > 0.0 && metrics_out.empty()) {
+    return Status::InvalidArgument("--metrics-interval requires --metrics-out");
   }
   obs::MetricsRegistry registry;
   if (!metrics_out.empty() || !trace_out.empty()) {
     if (!trace_out.empty()) registry.EnableTracing();
-    config->obs = &registry;
+    config.obs = &registry;
   }
-  obs::PeriodicSnapshotWriter snapshots(&registry, metrics_out, *interval);
-  if (*interval > 0.0) snapshots.Start();
-  auto result = core::RunExperiment(*config);
+  obs::PeriodicSnapshotWriter snapshots(&registry, metrics_out, interval);
+  if (interval > 0.0) snapshots.Start();
+  auto result = core::RunExperiment(config);
   snapshots.Stop();
-  result.status().Abort("experiment");
-  if (!config->resume_from.empty()) {
-    std::printf("resumed selection from %s\n", config->resume_from.c_str());
+  VFPS_RETURN_NOT_OK(result.status());
+  if (!config.resume_from.empty()) {
+    std::printf("resumed selection from %s\n", config.resume_from.c_str());
   }
-  if (!config->checkpoint_out.empty()) {
+  if (!config.checkpoint_out.empty()) {
     std::printf("selection checkpoint written to %s\n",
-                config->checkpoint_out.c_str());
+                config.checkpoint_out.c_str());
   }
   if (!metrics_out.empty()) {
-    registry.WriteJsonFile(metrics_out).Abort("metrics-out");
+    VFPS_RETURN_NOT_OK(registry.WriteJsonFile(metrics_out));
     std::printf("metrics written to %s\n", metrics_out.c_str());
   }
   if (!trace_out.empty()) {
-    registry.tracer()->WriteJsonFile(trace_out).Abort("trace-out");
+    VFPS_RETURN_NOT_OK(registry.tracer()->WriteJsonFile(trace_out));
     std::printf("trace written to %s\n", trace_out.c_str());
   }
   const std::string source =
-      config->csv_path.empty() ? config->dataset : config->csv_path;
+      config.csv_path.empty() ? config.dataset : config.csv_path;
   std::printf("dataset=%s rows=%zu features=%zu consortium=%zu backend=%s\n\n",
               source.c_str(), result->rows, result->features,
-              result->consortium_size, core::HeBackendKindName(config->backend));
-  PrintResult(core::SelectionMethodName(config->method), *result);
+              result->consortium_size, core::HeBackendKindName(config.backend));
+  PrintResult(core::SelectionMethodName(config.method), *result);
   if (!result->selection.scores.empty()) {
     std::printf("\nper-participant scores:");
     for (size_t p = 0; p < result->selection.scores.size(); ++p) {
@@ -304,10 +304,10 @@ int CmdRun(const std::map<std::string, std::string>& flags) {
         "reached); selection completed without them\n",
         absent.c_str());
   }
-  return 0;
+  return Status::OK();
 }
 
-int CmdSweep(const std::map<std::string, std::string>& flags) {
+Status CmdSweep(const std::map<std::string, std::string>& flags) {
   const core::SelectionMethod methods[] = {
       core::SelectionMethod::kAll,     core::SelectionMethod::kRandom,
       core::SelectionMethod::kShapley, core::SelectionMethod::kVfMine,
@@ -315,13 +315,19 @@ int CmdSweep(const std::map<std::string, std::string>& flags) {
   for (core::SelectionMethod method : methods) {
     auto mutable_flags = flags;
     mutable_flags["method"] = core::SelectionMethodName(method);
-    auto config = BuildConfig(mutable_flags);
-    config.status().Abort("config");
-    auto result = core::RunExperiment(*config);
-    result.status().Abort("experiment");
-    PrintResult(core::SelectionMethodName(method), *result);
+    VFPS_ASSIGN_OR_RETURN(core::ExperimentConfig config,
+                          BuildConfig(mutable_flags));
+    VFPS_ASSIGN_OR_RETURN(core::ExperimentResult result,
+                          core::RunExperiment(config));
+    PrintResult(core::SelectionMethodName(method), result);
   }
-  return 0;
+  return Status::OK();
+}
+
+int ExitCode(const Status& status) {
+  if (status.ok()) return 0;
+  std::fprintf(stderr, "vfps_cli: %s\n", status.ToString().c_str());
+  return 1;
 }
 
 void Usage() {
@@ -339,8 +345,8 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   if (command == "datasets") return CmdDatasets();
-  if (command == "run") return CmdRun(ParseFlags(argc, argv, 2));
-  if (command == "sweep") return CmdSweep(ParseFlags(argc, argv, 2));
+  if (command == "run") return ExitCode(CmdRun(ParseFlags(argc, argv, 2)));
+  if (command == "sweep") return ExitCode(CmdSweep(ParseFlags(argc, argv, 2)));
   Usage();
   return 2;
 }
