@@ -78,8 +78,8 @@ void BM_FedKnnFagin(benchmark::State& state) {
 BENCHMARK(BM_FedKnnFagin)->Arg(2000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 // Encrypted-oracle query throughput under row sharding. shards=1 is the
-// pristine single-heap path; higher counts pay the per-shard rounds plus the
-// hierarchical merge.
+// one-shard plan (no merge stage); higher counts pay the per-shard rounds
+// plus the hierarchical merge.
 void BM_ShardedFedKnnQuery(benchmark::State& state) {
   KnnFixture f(10000);
   vfl::FederatedKnnOracle oracle(&f.train, &f.partition, f.backend.get(),

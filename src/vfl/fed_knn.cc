@@ -61,6 +61,55 @@ Result<double> DecodeScalar(const std::vector<uint8_t>& payload) {
   return reader.ReadDouble();
 }
 
+// Gathers `row`'s slice of `block`'s columns into `slice` and returns its
+// squared norm.
+double GatherQuery(const ml::FeatureBlock& block, const double* row,
+                   std::vector<double>* slice) {
+  slice->resize(block.cols());
+  block.GatherInto(row, slice->data());
+  return ml::SquaredNorm(slice->data(), block.cols());
+}
+
+// One protocol phase: its trace span (on `node`) plus the simulated time the
+// phase charged, added to `counter` (`knn.phase.sim_ns{phase=...}`) on End().
+// Durations are deterministic simulated seconds rounded to integer ns, so the
+// labeled totals stay bit-identical at any thread count. A null tracer or
+// counter switches that half off.
+class Phase {
+ public:
+  Phase(obs::Tracer* tracer, const SimClock* clock, const char* name,
+        const char* node, obs::Counter* counter)
+      : span_(tracer, name, clock),
+        counter_(counter),
+        clock_(clock),
+        start_seconds_(counter != nullptr ? clock->Total() : 0.0) {
+    span_.SetNode(node);
+  }
+  ~Phase() { End(); }
+  Phase(const Phase&) = delete;
+  Phase& operator=(const Phase&) = delete;
+
+  obs::Span& span() { return span_; }
+  void End() {
+    if (counter_ != nullptr) {
+      counter_->Add(static_cast<uint64_t>(
+          std::llround((clock_->Total() - start_seconds_) * 1e9)));
+      counter_ = nullptr;
+    }
+    span_.End();
+  }
+
+ private:
+  obs::Span span_;
+  obs::Counter* counter_;
+  const SimClock* clock_;
+  double start_seconds_;
+};
+
+// The top-k modes' score for the query's own row: it ranks last everywhere,
+// so it never becomes a neighbor.
+constexpr double kQueryScore = std::numeric_limits<double>::infinity();
+
 // Lloyd iterations of the pre-filter's per-party clustering; also the basis
 // of the simulated-clock charge for building the models.
 constexpr size_t kPrefilterKmeansIters = 8;
@@ -138,47 +187,6 @@ FederatedKnnOracle::FederatedKnnOracle(const data::Dataset* joint_train,
   }
 }
 
-FederatedKnnOracle::PhaseTimer::PhaseTimer(obs::Counter* counter,
-                                           const SimClock* clock)
-    : counter_(counter),
-      clock_(clock),
-      start_seconds_(counter != nullptr ? clock->Total() : 0.0) {}
-
-void FederatedKnnOracle::PhaseTimer::End() {
-  if (counter_ == nullptr) return;
-  counter_->Add(static_cast<uint64_t>(
-      std::llround((clock_->Total() - start_seconds_) * 1e9)));
-  counter_ = nullptr;
-}
-
-std::vector<double> FederatedKnnOracle::PartialDistances(
-    size_t participant, const data::Dataset& source, size_t query_row,
-    size_t exclude_row) const {
-  const ml::FeatureBlock& block = party_blocks_[participant];
-  const size_t n = joint_->num_samples();
-  const double* qrow = source.Row(query_row);
-  // Gather the query's slice of this party's columns once; per-thread
-  // scratch (fully overwritten each call).
-  thread_local std::vector<double> qslice;
-  qslice.resize(block.cols());
-  block.GatherInto(qrow, qslice.data());
-  const double q_norm = ml::SquaredNorm(qslice.data(), block.cols());
-  const bool excluding = exclude_row < n;
-  std::vector<double> out(excluding ? n - 1 : n);
-  if (!excluding) {
-    ml::BlockSquaredDistances(block, qslice.data(), q_norm, 0, n, out.data());
-  } else {
-    // Compressed output: the excluded row's slot is skipped by running the
-    // kernel on the two surrounding ranges (per-row values are identical to a
-    // full-range run; the kernel has no cross-row state).
-    ml::BlockSquaredDistances(block, qslice.data(), q_norm, 0, exclude_row,
-                              out.data());
-    ml::BlockSquaredDistances(block, qslice.data(), q_norm, exclude_row + 1, n,
-                              out.data() + exclude_row);
-  }
-  return out;
-}
-
 void FederatedKnnOracle::ChargeParallelCompute(
     SimClock* clock, const std::vector<double>& per_party_seconds) const {
   double worst = 0.0;
@@ -210,13 +218,6 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
   VFPS_CHECK_ARG(config.num_queries >= 1, "fed-knn: need >= 1 query");
   VFPS_CHECK_ARG(config.fagin_batch >= 1, "fed-knn: fagin batch must be >= 1");
   VFPS_CHECK_ARG(config.shards >= 1, "fed-knn: shards must be >= 1");
-  // Both sharding and the pre-filter route through the per-shard aggregation
-  // rounds, which batch by shard — cross-query slot batching would fight
-  // that layout, so the combinations are rejected up front.
-  const bool sharded = config.shards > 1 || config.prefilter_clusters > 0;
-  VFPS_CHECK_ARG(!sharded || config.query_group == 1,
-                 "fed-knn: query_group batching is unsupported with --shards "
-                 "or --prefilter");
 
   // Survivor view: everybody minus the quarantined and not-yet-joined
   // participants. With no exclusions the list is 0..P-1 and every code path
@@ -267,7 +268,26 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
   apply_membership_marks(network_);
 
   const net::TrafficStats traffic_before = network_->total();
-  const he::HeOpStats he_before = backend_->stats();
+  // Churn bookkeeping is unioned over the main network and every unit's
+  // fault stream (each task-local network watches its copy of the schedule
+  // unfold independently); dead nodes are reported only for a failed run.
+  const auto report_churn = [&](const std::vector<const net::SimNetwork*>& nets,
+                                bool failed) {
+    if (stats == nullptr) return;
+    std::set<net::NodeId> dead, departed, joined, healed;
+    const auto take = [&](const net::SimNetwork& net) {
+      for (net::NodeId d : net.DeadNodes()) dead.insert(d);
+      for (net::NodeId d : net.DepartedNodes()) departed.insert(d);
+      for (net::NodeId d : net.JoinedNodes()) joined.insert(d);
+      for (net::NodeId d : net.HealedNodes()) healed.insert(d);
+    };
+    take(*network_);
+    for (const net::SimNetwork* net : nets) take(*net);
+    if (failed) stats->dead_nodes.assign(dead.begin(), dead.end());
+    stats->departed_nodes.assign(departed.begin(), departed.end());
+    stats->joined_nodes.assign(joined.begin(), joined.end());
+    stats->healed_nodes.assign(healed.begin(), healed.end());
+  };
   obs::Tracer* const tracer = obs_ == nullptr ? nullptr : obs_->tracer();
   // Causal anchor for the fan-out below: each query task re-adopts the
   // caller's span context on its worker thread, so every per-unit trace tree
@@ -291,12 +311,7 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
       sent = main_chan.Recv(kLeader, static_cast<int>(party)).status();
     }
     if (!sent.ok()) {
-      if (stats != nullptr) {
-        stats->dead_nodes = network_->DeadNodes();
-        stats->departed_nodes = network_->DepartedNodes();
-        stats->joined_nodes = network_->JoinedNodes();
-        stats->healed_nodes = network_->HealedNodes();
-      }
+      report_churn({}, /*failed=*/true);
       return sent;
     }
   }
@@ -308,83 +323,83 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
                                  ? PseudoIdMap()
                                  : PseudoIdMap::Create(n, config.seed);
 
+  // The row-shard plan (one shard when unsharded), the top-k item orders,
+  // the pre-filter models and the per-shard metric handles — all built
+  // serially here so unit tasks share them read-only (no registry mutex, no
+  // model races).
+  ShardRuntime shard_rt;
+  VFPS_ASSIGN_OR_RETURN(shard_rt.plan, data::MakeRowShards(n, config.shards));
+  const bool multi_shard = shard_rt.plan.size() > 1;
+  if (config.mode != KnnOracleMode::kBase) {
+    shard_rt.ranked_rows.resize(shard_rt.plan.size());
+    for (uint64_t pid = 0; pid < n; ++pid) {
+      const uint64_t row = pseudo.ToOriginal(pid);
+      shard_rt.ranked_rows[data::ShardOfRow(row, n, config.shards)].push_back(
+          row);
+    }
+  }
+  std::vector<ml::KMeansResult> prefilter_models;
+  if (config.prefilter_clusters > 0) {
+    // Each active party clusters its own columns once per Run — local
+    // plaintext work (no protocol traffic), charged as parallel compute.
+    prefilter_models.resize(p);
+    double worst_seconds = 0.0;
+    for (size_t party : active) {
+      VFPS_ASSIGN_OR_RETURN(
+          prefilter_models[party],
+          ml::KMeansCluster(party_blocks_[party], config.prefilter_clusters,
+                            config.seed + party, kPrefilterKmeansIters));
+      worst_seconds = std::max(
+          worst_seconds,
+          static_cast<double>(kPrefilterKmeansIters) *
+              static_cast<double>(prefilter_models[party].clusters) *
+              cost_->DistanceSeconds(n, (*partition_)[party].size()));
+    }
+    clock_->Advance(CostCategory::kCompute, worst_seconds);
+    shard_rt.prefilter = &prefilter_models;
+    // Nominating ~4k rows per party keeps recall high while still pruning
+    // the overwhelming majority of a large shard plan.
+    shard_rt.prefilter_target = std::max<size_t>(4 * config.k, 32);
+  }
+  if (obs_ != nullptr && multi_shard) {
+    shard_rt.sim_ns.resize(shard_rt.plan.size());
+    shard_rt.candidates.resize(shard_rt.plan.size());
+    for (size_t s = 0; s < shard_rt.plan.size(); ++s) {
+      const std::string label = StrFormat("%zu", s);
+      shard_rt.sim_ns[s] =
+          obs_->GetLabeledCounter("knn.shard.sim_ns", {{"shard", label}});
+      shard_rt.candidates[s] =
+          obs_->GetLabeledCounter("knn.shard.candidates", {{"shard", label}});
+    }
+  }
+
   // Resolve BASE-mode cross-query slot batching (FedKnnConfig::query_group):
-  // group G consecutive queries into one task that shares a single encrypted
-  // aggregation round. G = 1 (the default, and always for Fagin/TA) keeps
-  // the one-task-per-query schedule bit-identical to previous releases;
+  // group G consecutive queries into one task that shares one encrypted
+  // aggregation round per shard. G = 1 (the default, and always for Fagin/TA)
+  // keeps the one-task-per-query schedule bit-identical to previous releases;
   // query_group = 0 auto-sizes the group so each party's packed vector fills
-  // the backend's ciphertext slots.
+  // the backend's ciphertext slots. A query puts at most n-1 rows into a
+  // one-shard plan's round, and at most the largest shard's rows (the query
+  // may sit in another shard) into a sharded one.
   size_t group = 1;
-  if (config.mode == KnnOracleMode::kBase && !queries.empty()) {
+  if (config.mode == KnnOracleMode::kBase) {
     group = config.query_group;
     if (group == 0) {
-      const size_t count = n - 1;
-      const size_t slots_per_ct = backend_->SlotsPerCiphertext();
-      group = count == 0 ? 1 : std::max<size_t>(1, slots_per_ct / count);
+      const size_t count = multi_shard ? shard_rt.plan.front().rows() : n - 1;
+      group = std::max<size_t>(1, backend_->SlotsPerCiphertext() / count);
     }
     group = std::min(std::max<size_t>(1, group), queries.size());
   }
-  const size_t num_units = queries.empty() ? 0 : (queries.size() + group - 1) / group;
-
-  // Sharded-path runtime: the row-shard plan, the per-party pre-filter
-  // models, and the per-shard metric handles — all built serially here so
-  // query tasks share it read-only (no registry mutex, no model races).
-  ShardRuntime shard_rt;
-  std::vector<ml::KMeansResult> prefilter_models;
-  if (sharded) {
-    VFPS_ASSIGN_OR_RETURN(shard_rt.plan, data::MakeRowShards(n, config.shards));
-    if (config.prefilter_clusters > 0) {
-      // Each active party clusters its own columns once per Run — local
-      // plaintext work (no protocol traffic), charged as parallel compute.
-      prefilter_models.resize(p);
-      double worst_seconds = 0.0;
-      for (size_t party : active) {
-        VFPS_ASSIGN_OR_RETURN(
-            prefilter_models[party],
-            ml::KMeansCluster(party_blocks_[party], config.prefilter_clusters,
-                              config.seed + party, kPrefilterKmeansIters));
-        worst_seconds = std::max(
-            worst_seconds,
-            static_cast<double>(kPrefilterKmeansIters) *
-                static_cast<double>(prefilter_models[party].clusters) *
-                cost_->DistanceSeconds(n, (*partition_)[party].size()));
-      }
-      clock_->Advance(CostCategory::kCompute, worst_seconds);
-      shard_rt.prefilter = &prefilter_models;
-      // Nominating ~4k rows per party keeps recall high while still pruning
-      // the overwhelming majority of a large shard plan.
-      shard_rt.prefilter_target = std::max<size_t>(4 * config.k, 32);
-    }
-    if (obs_ != nullptr) {
-      shard_rt.sim_ns.resize(shard_rt.plan.size());
-      shard_rt.candidates.resize(shard_rt.plan.size());
-      for (size_t s = 0; s < shard_rt.plan.size(); ++s) {
-        const std::string label = StrFormat("%zu", s);
-        shard_rt.sim_ns[s] =
-            obs_->GetLabeledCounter("knn.shard.sim_ns", {{"shard", label}});
-        shard_rt.candidates[s] =
-            obs_->GetLabeledCounter("knn.shard.candidates", {{"shard", label}});
-      }
-    }
-  }
+  const size_t num_units = (queries.size() + group - 1) / group;
 
   // Bind (or re-validate) the contribution cache against this run's protocol
   // shape. A key mismatch — different seed, mode, k, query count, batching or
   // dataset size — clears the cache, so stale contributions can never leak
   // into a differently-shaped run.
   if (cache_ != nullptr) {
-    SelectionCache::Key key;
-    key.seed = config.seed;
-    key.mode = static_cast<int>(config.mode);
-    key.k = config.k;
-    key.num_queries = num_queries;
-    key.fagin_batch = config.fagin_batch;
-    key.group = group;
-    key.n_rows = n;
-    key.num_units = num_units;
-    key.shards = config.shards;
-    key.prefilter_clusters = config.prefilter_clusters;
-    cache_->Rekey(key);
+    cache_->Rekey({config.seed, static_cast<int>(config.mode), config.k,
+                   num_queries, config.fagin_batch, group, n, num_units,
+                   config.shards, config.prefilter_clusters});
   }
 
   // Pre-derive one HE randomness stream per task unit (== per query when
@@ -420,60 +435,6 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
   };
   std::vector<QuerySlot> slots(num_units);
 
-  const auto run_unit_body = [&](size_t u) {
-    QuerySlot& slot = slots[u];
-    auto session = backend_->Fork(stream_seeds[u]);
-    if (!session.ok()) {
-      slot.status = session.status();
-      return;
-    }
-    slot.session = session.MoveValueUnsafe();
-    slot.net.set_metrics(obs_);
-    if (!fault_seeds.empty()) {
-      slot.net.EnableFaults(*network_->fault_spec(), fault_seeds[u],
-                            &slot.clock);
-    }
-    apply_membership_marks(&slot.net);
-    net::ReliableChannel chan(&slot.net, &slot.clock, retry);
-    // The sharded paths rebuild per-shard state from scratch every run, so
-    // they neither consult nor stage contribution-cache entries (the Rekey
-    // above still rejects shard-layout mismatches for checkpointed runs).
-    const QueryEnv env{slot.session.get(), &slot.net, &chan, &slot.clock,
-                       &active, tracer,
-                       (cache_ == nullptr || sharded) ? nullptr : cache_->unit(u),
-                       (cache_ == nullptr || sharded) ? nullptr : &slot.produced,
-                       sharded ? &shard_rt : nullptr};
-    const size_t lo = u * group;
-    const size_t hi = std::min(queries.size(), lo + group);
-    if (config.mode == KnnOracleMode::kBase && hi - lo > 1) {
-      auto hoods = RunBaseQueryGroup(env, queries, lo, hi, config.k, &slot.stats);
-      if (hoods.ok()) {
-        slot.hoods = hoods.MoveValueUnsafe();
-      } else {
-        slot.status = hoods.status();
-      }
-      return;
-    }
-    Result<QueryNeighborhood> hood =
-        env.shard != nullptr
-            ? (config.mode == KnnOracleMode::kBase
-                   ? RunBaseQuerySharded(env, queries[lo], config.k,
-                                         &slot.stats)
-                   : RunTopkQuerySharded(env, pseudo, queries[lo], config.k,
-                                         config.fagin_batch, config.mode,
-                                         &slot.stats))
-            : (config.mode == KnnOracleMode::kBase
-                   ? RunBaseQuery(env, queries[lo], config.k, &slot.stats)
-                   : RunTopkQuery(env, pseudo, queries[lo], config.k,
-                                  config.fagin_batch, config.mode,
-                                  &slot.stats));
-    if (hood.ok()) {
-      slot.hoods.push_back(hood.MoveValueUnsafe());
-    } else {
-      slot.status = hood.status();
-    }
-  };
-
   // One root span ("knn.query") per unit: the task adopts the caller's trace
   // context, so at any thread count the whole protocol tree of a unit —
   // phases, per-party work, retries, fault instants — is a single connected
@@ -481,16 +442,38 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
   const auto run_unit = [&](size_t u) {
     QuerySlot& slot = slots[u];
     Stopwatch unit_watch;
-    {
-      obs::TraceScope trace_scope(tracer, parent_ctx);
-      obs::Span unit_span(tracer, "knn.query", &slot.clock);
-      if (tracer != nullptr) {  // skip the StrFormat work when disabled
-        unit_span.Annotate("unit", StrFormat("%zu", u));
-        unit_span.Annotate("algo", KnnOracleModeName(config.mode));
-        unit_span.Annotate("query_row", StrFormat("%zu", queries[u * group]));
-      }
-      run_unit_body(u);
+    obs::TraceScope trace_scope(tracer, parent_ctx);
+    obs::Span unit_span(tracer, "knn.query", &slot.clock);
+    if (tracer != nullptr) {  // skip the StrFormat work when disabled
+      unit_span.Annotate("unit", StrFormat("%zu", u));
+      unit_span.Annotate("algo", KnnOracleModeName(config.mode));
+      unit_span.Annotate("query_row", StrFormat("%zu", queries[u * group]));
     }
+    slot.status = [&]() -> Status {
+      VFPS_ASSIGN_OR_RETURN(slot.session, backend_->Fork(stream_seeds[u]));
+      slot.net.set_metrics(obs_);
+      if (!fault_seeds.empty()) {
+        slot.net.EnableFaults(*network_->fault_spec(), fault_seeds[u],
+                              &slot.clock);
+      }
+      apply_membership_marks(&slot.net);
+      net::ReliableChannel chan(&slot.net, &slot.clock, retry);
+      // Pre-filtered runs bypass the cache: the nominated candidate set is a
+      // union over the active parties, so it moves with membership and
+      // cached per-party values would no longer line up with it.
+      const bool cached = cache_ != nullptr && shard_rt.prefilter == nullptr;
+      const QueryEnv env{slot.session.get(), &slot.net, &chan,
+                         &slot.clock,         &active,   tracer,
+                         &config,             &shard_rt, &pseudo,
+                         cached ? cache_->unit(u) : nullptr,
+                         cached ? &slot.produced : nullptr};
+      const size_t lo = u * group;
+      const size_t hi = std::min(queries.size(), lo + group);
+      VFPS_ASSIGN_OR_RETURN(
+          slot.hoods, RunUnit(env, queries.data() + lo, hi - lo, &slot.stats));
+      return Status::OK();
+    }();
+    unit_span.End();
     slot.wall_seconds = unit_watch.ElapsedSeconds();
   };
 
@@ -504,29 +487,11 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
   // cache — on success AND on failure. All units execute regardless of which
   // one fails, and each unit is internally deterministic, so the salvaged
   // cache contents are independent of the thread count.
-  const auto absorb_cache = [&] {
-    if (cache_ == nullptr) return;
-    for (size_t u = 0; u < slots.size(); ++u) {
-      cache_->Absorb(u, std::move(slots[u].produced));
-    }
-  };
-
-  // Churn bookkeeping is unioned over every fault stream (each task-local
-  // network watches its copy of the schedule unfold independently).
-  const auto poll_churn = [&](FedKnnStats* out) {
-    if (out == nullptr) return;
-    std::set<net::NodeId> departed, joined, healed;
-    const auto take = [&](const net::SimNetwork& net) {
-      for (net::NodeId d : net.DepartedNodes()) departed.insert(d);
-      for (net::NodeId d : net.JoinedNodes()) joined.insert(d);
-      for (net::NodeId d : net.HealedNodes()) healed.insert(d);
-    };
-    take(*network_);
-    for (const QuerySlot& s : slots) take(s.net);
-    out->departed_nodes.assign(departed.begin(), departed.end());
-    out->joined_nodes.assign(joined.begin(), joined.end());
-    out->healed_nodes.assign(healed.begin(), healed.end());
-  };
+  std::vector<const net::SimNetwork*> unit_nets;
+  for (size_t u = 0; u < slots.size(); ++u) {
+    if (cache_ != nullptr) cache_->Absorb(u, std::move(slots[u].produced));
+    unit_nets.push_back(&slots[u].net);
+  }
 
   // Failed run: report the first error in query order without merging any
   // task-local protocol state, so a quarantine-and-rerun starts from a clean
@@ -534,16 +499,7 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
   // parties' work for incremental repair.
   for (const QuerySlot& slot : slots) {
     if (slot.status.ok()) continue;
-    absorb_cache();
-    if (stats != nullptr) {
-      std::set<net::NodeId> dead;
-      for (net::NodeId d : network_->DeadNodes()) dead.insert(d);
-      for (const QuerySlot& s : slots) {
-        for (net::NodeId d : s.net.DeadNodes()) dead.insert(d);
-      }
-      stats->dead_nodes.assign(dead.begin(), dead.end());
-      poll_churn(stats);
-    }
+    report_churn(unit_nets, /*failed=*/true);
     return slot.status;
   }
 
@@ -573,449 +529,248 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
       stats->candidates_encrypted += slot.stats.candidates_encrypted;
       stats->fagin_depth += slot.stats.fagin_depth;
       stats->reused_contributions += slot.stats.reused_contributions;
+      stats->he_ops.Merge(slot.session->stats());
     }
   }
-  absorb_cache();
 
   if (c_queries_ != nullptr) {
     c_queries_->Add(queries.size());
     c_queries_mode_[static_cast<int>(config.mode)]->Add(queries.size());
   }
+  report_churn(unit_nets, /*failed=*/false);
   if (stats != nullptr) {
-    poll_churn(stats);
     stats->queries += queries.size();
     net::TrafficStats after = network_->total();
     stats->traffic.messages += after.messages - traffic_before.messages;
     stats->traffic.bytes += after.bytes - traffic_before.bytes;
-    he::HeOpStats he_after = backend_->stats();
-    stats->he_ops.encrypt_ops += he_after.encrypt_ops - he_before.encrypt_ops;
-    stats->he_ops.decrypt_ops += he_after.decrypt_ops - he_before.decrypt_ops;
-    stats->he_ops.add_ops += he_after.add_ops - he_before.add_ops;
-    stats->he_ops.values_encrypted +=
-        he_after.values_encrypted - he_before.values_encrypted;
-    stats->he_ops.values_decrypted +=
-        he_after.values_decrypted - he_before.values_decrypted;
-    stats->he_ops.values_added += he_after.values_added - he_before.values_added;
   }
   return result;
 }
 
-Result<QueryNeighborhood> FederatedKnnOracle::RunBaseQuery(
-    const QueryEnv& env, uint64_t query_row, size_t k,
+Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::RunUnit(
+    const QueryEnv& env, const size_t* queries, size_t g,
     FedKnnStats* stats) const {
-  const size_t n = joint_->num_samples();
-  const size_t p = num_participants();
-  const std::vector<size_t>& active = *env.active;
-  const size_t a = active.size();  // == p with no quarantine
-  const size_t count = n - 1;      // the query row itself is excluded
-
-  // Repair-cache lookup: a party's contribution is reusable only when its
-  // staged values cover this unit's full candidate range and the server still
-  // holds its ciphertext.
-  const auto cached_for = [&](size_t party) -> const PartyUnitState* {
-    if (env.cached == nullptr) return nullptr;
-    const auto it = env.cached->parties.find(party);
-    if (it == env.cached->parties.end()) return nullptr;
-    const PartyUnitState& st = it->second;
-    return (st.has_cipher && st.values.size() == count) ? &st : nullptr;
-  };
-
-  // Phase 1 (active participants, parallel): local partial distances +
-  // encryption. Everything below indexes by position in `active`. Parties
-  // with a cached contribution skip both compute and upload — on repair only
-  // the membership delta pays.
-  obs::Span span_dist(env.tracer, "knn.partial_distance", env.clock);
-  span_dist.SetNode("parties");
-  PhaseTimer phase_dist(c_phase_dist_, env.clock);
-  std::vector<std::vector<double>> partials(a);
-  std::vector<const PartyUnitState*> hits(a, nullptr);
-  std::vector<double> compute_seconds;
-  compute_seconds.reserve(a);
-  size_t fresh = 0;
-  for (size_t ai = 0; ai < a; ++ai) {
-    if (const PartyUnitState* st = cached_for(active[ai])) {
-      hits[ai] = st;
-      partials[ai] = st->values;  // still needed for the d_T exchange
-      if (stats != nullptr) ++stats->reused_contributions;
-      if (c_cache_hit_ != nullptr) c_cache_hit_->Add(1);
-      continue;
-    }
-    if (env.cached != nullptr && c_cache_miss_ != nullptr) {
-      c_cache_miss_->Add(1);
-    }
-    obs::Span party_span(env.tracer, "knn.party.compute", env.clock);
-    party_span.SetNode(net::NodeName(static_cast<int>(active[ai])));
-    partials[ai] = PartialDistances(active[ai], *joint_, query_row, query_row);
-    compute_seconds.push_back(
-        cost_->DistanceSeconds(count, (*partition_)[active[ai]].size()));
-    ++fresh;
-  }
-  if (fresh > 0) ChargeParallelCompute(env.clock, compute_seconds);
-  phase_dist.End();
-  span_dist.End();
-
-  obs::Span span_enc(env.tracer, "he.encrypt", env.clock);
-  span_enc.SetNode("parties");
-  PhaseTimer phase_enc(c_phase_encrypt_, env.clock);
-  std::vector<he::EncryptedVector> encrypted;
-  if (fresh > 0) {
-    std::vector<std::vector<double>> fresh_values;
-    fresh_values.reserve(fresh);
-    for (size_t ai = 0; ai < a; ++ai) {
-      if (hits[ai] == nullptr) fresh_values.push_back(partials[ai]);
-    }
-    VFPS_ASSIGN_OR_RETURN(encrypted, env.backend->EncryptBatch(fresh_values));
-    size_t fi = 0;
-    for (size_t ai = 0; ai < a; ++ai) {
-      if (hits[ai] != nullptr) continue;
-      if (!c_party_enc_values_.empty()) {
-        c_party_enc_values_[active[ai]]->Add(count);
-      }
-      VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
-                                        net::kAggregationServer,
-                                        encrypted[fi++].blob));
-    }
-    env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(count));
-    ChargeFanIn(env.clock, cost_->EncryptedWireBytes(count), fresh);
-  }
-  phase_enc.End();
-  span_enc.End();
-
-  // Phase 2 (aggregation server): homomorphic sum over the cached ciphertexts
-  // it already holds plus the fresh uploads, in ascending active order so a
-  // repair sums bit-identically to a clean run; forward to the leader.
-  obs::Span span_agg(env.tracer, "knn.aggregate", env.clock);
-  span_agg.SetNode("agg-server");
-  PhaseTimer phase_agg(c_phase_agg_, env.clock);
-  std::vector<he::EncryptedVector> received(a);
-  std::vector<const he::EncryptedVector*> ptrs(a);
-  for (size_t ai = 0; ai < a; ++ai) {
-    if (hits[ai] != nullptr) {
-      ptrs[ai] = &hits[ai]->cipher;
-      continue;
-    }
-    VFPS_ASSIGN_OR_RETURN(auto blob,
-                          env.chan->Recv(static_cast<int>(active[ai]),
-                                         net::kAggregationServer));
-    received[ai] = he::EncryptedVector{std::move(blob), count};
-    ptrs[ai] = &received[ai];
-    if (env.fresh != nullptr) {
-      PartyUnitState& st = env.fresh->parties[active[ai]];
-      st.values = partials[ai];
-      st.cipher = received[ai];
-      st.has_cipher = true;
-    }
-  }
-  VFPS_ASSIGN_OR_RETURN(auto summed, env.backend->Sum(ptrs));
-  env.clock->Advance(CostCategory::kHeEval,
-                     static_cast<double>(a - 1) * cost_->HeAddSecondsFor(count));
-  VFPS_RETURN_NOT_OK(
-      env.chan->Send(net::kAggregationServer, kLeader, summed.blob));
-  ChargeFanOut(env.clock, cost_->EncryptedWireBytes(count), 1);
-  phase_agg.End();
-  span_agg.End();
-
-  // Phase 3 (leader): decrypt, rank, pick the k nearest.
-  obs::Span span_rank(env.tracer, "knn.decrypt_rank", env.clock);
-  span_rank.SetNode("leader");
-  PhaseTimer phase_rank(c_phase_rank_, env.clock);
-  VFPS_ASSIGN_OR_RETURN(auto blob, env.chan->Recv(net::kAggregationServer, kLeader));
-  VFPS_ASSIGN_OR_RETURN(
-      auto distances,
-      env.backend->Decrypt(he::EncryptedVector{std::move(blob), count}));
-  env.clock->Advance(CostCategory::kDecrypt, cost_->DecryptSecondsFor(count));
-  env.clock->Advance(CostCategory::kCompute, cost_->SortSeconds(count));
-  const auto top = SmallestK(distances, k);
-  phase_rank.End();
-  span_rank.End();
-
-  QueryNeighborhood hood;
-  hood.query_row = query_row;
-  hood.neighbors.reserve(top.size());
-  for (uint64_t idx : top) {
-    hood.neighbors.push_back(CompressedToRow(idx, query_row));
-  }
-
-  // Phase 4: leader broadcasts T; every active participant returns d_T^p.
-  obs::Span span_dt(env.tracer, "knn.dt_exchange", env.clock);
-  span_dt.SetNode("leader");
-  PhaseTimer phase_dt(c_phase_dt_, env.clock);
-  // Quarantined slots keep d_T^p = 0 (the caller drops them anyway).
-  for (size_t party : active) {
-    if (party == 0) continue;
-    VFPS_RETURN_NOT_OK(
-        env.chan->Send(kLeader, static_cast<int>(party), EncodeIds(top)));
-  }
-  ChargeFanOut(env.clock, top.size() * sizeof(uint64_t), a - 1);
-  hood.per_party_dt.assign(p, 0.0);
-  for (size_t ai = 0; ai < a; ++ai) {
-    const size_t party = active[ai];
-    std::vector<uint64_t> ids = top;
-    if (party != 0) {
-      VFPS_ASSIGN_OR_RETURN(auto payload,
-                            env.chan->Recv(kLeader, static_cast<int>(party)));
-      VFPS_ASSIGN_OR_RETURN(ids, DecodeIds(payload));
-    }
-    double dt = 0.0;
-    for (uint64_t idx : ids) dt += partials[ai][idx];
-    if (party == 0) {
-      hood.per_party_dt[0] = dt;
-    } else {
-      VFPS_RETURN_NOT_OK(
-          env.chan->Send(static_cast<int>(party), kLeader, EncodeScalar(dt)));
-      VFPS_ASSIGN_OR_RETURN(auto payload,
-                            env.chan->Recv(static_cast<int>(party), kLeader));
-      VFPS_ASSIGN_OR_RETURN(hood.per_party_dt[party], DecodeScalar(payload));
-    }
-  }
-  ChargeFanIn(env.clock, sizeof(double), a - 1);
-  phase_dt.End();
-  span_dt.End();
-
-  if (h_candidates_ != nullptr) h_candidates_->Record(count);
-  if (stats != nullptr) stats->candidates_encrypted += count;
-  return hood;
-}
-
-Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::RunBaseQueryGroup(
-    const QueryEnv& env, const std::vector<size_t>& queries, size_t lo,
-    size_t hi, size_t k, FedKnnStats* stats) const {
-  const size_t n = joint_->num_samples();
-  const size_t p = num_participants();
+  const ShardRuntime& rt = *env.shards;
   const std::vector<size_t>& active = *env.active;
   const size_t a = active.size();
-  const size_t count = n - 1;  // candidates per query (query row excluded)
-  const size_t g = hi - lo;    // queries sharing this aggregation round
-  const size_t total = g * count;
-
-  // Phase 1 (active participants, parallel): each party computes the group's
-  // partial-distance vectors and lays them out in ONE slot-aligned packed
-  // vector — query q occupies [q*count, (q+1)*count). The layout is identical
-  // across parties, so slot-wise ciphertext addition aggregates candidate
-  // (q, i) against exactly candidate (q, i) everywhere; the final partial
-  // chunk's unused slots are zero-masked by the encoder and never decoded.
-  obs::Span span_dist(env.tracer, "knn.partial_distance", env.clock);
-  span_dist.SetNode("parties");
-  PhaseTimer phase_dist(c_phase_dist_, env.clock);
-  const auto cached_for = [&](size_t party) -> const PartyUnitState* {
-    if (env.cached == nullptr) return nullptr;
-    const auto it = env.cached->parties.find(party);
-    if (it == env.cached->parties.end()) return nullptr;
-    const PartyUnitState& st = it->second;
-    return (st.has_cipher && st.values.size() == total) ? &st : nullptr;
+  const size_t k = env.config->k;
+  const bool ranked = env.config->mode != KnnOracleMode::kBase;
+  const bool multi = rt.plan.size() > 1;
+  // Ids on the wire: pseudo ids in the top-k modes, compressed row indices
+  // (the query row squeezed out) in BASE.
+  const auto wire_id = [&](uint64_t row, uint64_t query_row) -> uint64_t {
+    if (ranked) return env.pseudo->ToPseudo(row);
+    return row < query_row ? row : row - 1;
   };
-  std::vector<std::vector<double>> packed(a);
-  std::vector<const PartyUnitState*> hits(a, nullptr);
-  std::vector<double> compute_seconds;
-  compute_seconds.reserve(a);
-  size_t fresh = 0;
-  for (size_t ai = 0; ai < a; ++ai) {
-    if (const PartyUnitState* st = cached_for(active[ai])) {
-      hits[ai] = st;
-      packed[ai] = st->values;  // still needed for the d_T exchange
-      if (stats != nullptr) ++stats->reused_contributions;
-      if (c_cache_hit_ != nullptr) c_cache_hit_->Add(1);
-      continue;
-    }
-    if (env.cached != nullptr && c_cache_miss_ != nullptr) {
-      c_cache_miss_->Add(1);
-    }
-    obs::Span party_span(env.tracer, "knn.party.compute", env.clock);
-    party_span.SetNode(net::NodeName(static_cast<int>(active[ai])));
-    packed[ai].reserve(total);
-    double seconds = 0.0;
-    for (size_t qi = 0; qi < g; ++qi) {
-      const size_t query_row = queries[lo + qi];
-      const auto partial =
-          PartialDistances(active[ai], *joint_, query_row, query_row);
-      packed[ai].insert(packed[ai].end(), partial.begin(), partial.end());
-      seconds += cost_->DistanceSeconds(count, (*partition_)[active[ai]].size());
-    }
-    compute_seconds.push_back(seconds);
-    ++fresh;
-  }
-  if (fresh > 0) ChargeParallelCompute(env.clock, compute_seconds);
-  phase_dist.End();
-  span_dist.End();
 
-  // Phase 2: one packed encrypt per fresh party for the whole group; cached
-  // parties' packed ciphertexts are already at the server.
-  obs::Span span_enc(env.tracer, "he.encrypt", env.clock);
-  span_enc.SetNode("parties");
-  PhaseTimer phase_enc(c_phase_encrypt_, env.clock);
-  std::vector<he::EncryptedVector> encrypted;
-  if (fresh > 0) {
-    std::vector<std::vector<double>> fresh_values;
-    fresh_values.reserve(fresh);
-    for (size_t ai = 0; ai < a; ++ai) {
-      if (hits[ai] == nullptr) fresh_values.push_back(packed[ai]);
-    }
-    VFPS_ASSIGN_OR_RETURN(encrypted, env.backend->EncryptBatch(fresh_values));
-    size_t fi = 0;
-    for (size_t ai = 0; ai < a; ++ai) {
-      if (hits[ai] != nullptr) continue;
-      if (!c_party_enc_values_.empty()) {
-        c_party_enc_values_[active[ai]]->Add(total);
-      }
-      VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
-                                        net::kAggregationServer,
-                                        encrypted[fi++].blob));
-    }
-    env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(total));
-    ChargeFanIn(env.clock, cost_->EncryptedWireBytes(total), fresh);
+  // Optional TreeCSS-style pre-filter: nomination happens once per query,
+  // BEFORE any distance or HE work; every shard then touches only its slice
+  // of the nominated rows.
+  std::vector<std::vector<uint64_t>> nominated(
+      rt.prefilter != nullptr ? g : 0);
+  for (size_t q = 0; q < nominated.size(); ++q) {
+    VFPS_ASSIGN_OR_RETURN(nominated[q],
+                          RunPrefilterExchange(env, rt, queries[q]));
   }
-  phase_enc.End();
-  span_enc.End();
 
-  // Phase 3 (aggregation server): slot-wise sum over cached + fresh
-  // ciphertexts in ascending active order, forward to the leader.
-  obs::Span span_agg(env.tracer, "knn.aggregate", env.clock);
-  span_agg.SetNode("agg-server");
-  PhaseTimer phase_agg(c_phase_agg_, env.clock);
-  std::vector<he::EncryptedVector> received(a);
-  std::vector<const he::EncryptedVector*> ptrs(a);
-  for (size_t ai = 0; ai < a; ++ai) {
-    if (hits[ai] != nullptr) {
-      ptrs[ai] = &hits[ai]->cipher;
-      continue;
+  // Shard loop: the complete round (partial distances -> [Fagin/TA
+  // narrowing] -> encrypt -> aggregate -> decrypt -> shard-local SmallestK)
+  // runs per shard, so only O(shard) protocol state is live; each shard
+  // leaves at most k nominees per query behind (and, to be merged, their
+  // shard top-k list).
+  std::vector<std::vector<Nominee>> nominees(g);
+  std::vector<std::vector<topk::ShardTopk>> shard_tops(g);
+  std::vector<uint64_t> candidates(g, 0);
+  uint64_t depth = 0;
+  std::vector<Slice> slices(g);
+  PartyPartials partials;
+  Round round;
+  for (size_t s = 0; s < rt.plan.size(); ++s) {
+    size_t items = 0;
+    for (size_t q = 0; q < g; ++q) {
+      items += BuildSlice(env, s, queries[q],
+                          nominated.empty() ? nullptr : &nominated[q],
+                          &slices[q]);
     }
-    VFPS_ASSIGN_OR_RETURN(auto blob,
-                          env.chan->Recv(static_cast<int>(active[ai]),
-                                         net::kAggregationServer));
-    received[ai] = he::EncryptedVector{std::move(blob), total};
-    ptrs[ai] = &received[ai];
-    if (env.fresh != nullptr) {
-      PartyUnitState& st = env.fresh->parties[active[ai]];
-      st.values = packed[ai];
-      st.cipher = received[ai];
-      st.has_cipher = true;
-    }
-  }
-  VFPS_ASSIGN_OR_RETURN(auto summed, env.backend->Sum(ptrs));
-  env.clock->Advance(CostCategory::kHeEval, static_cast<double>(a - 1) *
-                                                cost_->HeAddSecondsFor(total));
-  VFPS_RETURN_NOT_OK(
-      env.chan->Send(net::kAggregationServer, kLeader, summed.blob));
-  ChargeFanOut(env.clock, cost_->EncryptedWireBytes(total), 1);
-  phase_agg.End();
-  span_agg.End();
+    if (items == 0) continue;
 
-  // Phase 4 (leader): ONE decrypt for the group, then rank each query's
-  // slice of the aggregate vector.
-  obs::Span span_rank(env.tracer, "knn.decrypt_rank", env.clock);
-  span_rank.SetNode("leader");
-  PhaseTimer phase_rank(c_phase_rank_, env.clock);
-  VFPS_ASSIGN_OR_RETURN(auto blob,
-                        env.chan->Recv(net::kAggregationServer, kLeader));
-  VFPS_ASSIGN_OR_RETURN(
-      auto distances,
-      env.backend->Decrypt(he::EncryptedVector{std::move(blob), total}));
-  env.clock->Advance(CostCategory::kDecrypt, cost_->DecryptSecondsFor(total));
-  std::vector<QueryNeighborhood> hoods(g);
-  for (size_t qi = 0; qi < g; ++qi) {
-    const size_t query_row = queries[lo + qi];
-    env.clock->Advance(CostCategory::kCompute, cost_->SortSeconds(count));
-    const auto top = SmallestK(distances.data() + qi * count, count, k);
-    hoods[qi].query_row = query_row;
-    hoods[qi].neighbors.reserve(top.size());
-    for (uint64_t idx : top) {
-      hoods[qi].neighbors.push_back(CompressedToRow(idx, query_row));
+    Phase shard_phase(multi ? env.tracer : nullptr, env.clock, "knn.shard",
+                      "parties", rt.sim_ns.empty() ? nullptr : rt.sim_ns[s]);
+    if (multi && env.tracer != nullptr) {
+      shard_phase.span().Annotate("shard", StrFormat("%zu", s));
+      shard_phase.span().Annotate("rows", StrFormat("%zu", items));
     }
-  }
-  phase_rank.End();
-  span_rank.End();
+    if (!rt.candidates.empty()) rt.candidates[s]->Add(items);
 
-  // Phase 5: per-query d_T exchange, exactly as in the ungrouped protocol
-  // (plaintext scalars; nothing here benefits from batching).
-  obs::Span span_dt(env.tracer, "knn.dt_exchange", env.clock);
-  span_dt.SetNode("leader");
-  PhaseTimer phase_dt(c_phase_dt_, env.clock);
-  for (size_t qi = 0; qi < g; ++qi) {
-    QueryNeighborhood& hood = hoods[qi];
-    std::vector<uint64_t> top;
-    top.reserve(hood.neighbors.size());
-    const size_t query_row = queries[lo + qi];
-    for (uint64_t row : hood.neighbors) {
-      // Back to compressed candidate index for the partial-distance lookup.
-      top.push_back(row < query_row ? row : row - 1);
-    }
-    for (size_t party : active) {
-      if (party == 0) continue;
+    ComputePartials(env, s, slices, &partials, stats);
+
+    // The top-k modes first narrow the shard to Fagin/TA's candidate set and
+    // announce it; BASE encrypts every item (and may reuse the ciphertexts
+    // the server holds for cached parties).
+    std::vector<uint64_t> announce;
+    round.announce = ranked ? &announce : nullptr;
+    if (ranked) {
       VFPS_RETURN_NOT_OK(
-          env.chan->Send(kLeader, static_cast<int>(party), EncodeIds(top)));
-    }
-    ChargeFanOut(env.clock, top.size() * sizeof(uint64_t), a - 1);
-    hood.per_party_dt.assign(p, 0.0);
-    for (size_t ai = 0; ai < a; ++ai) {
-      const size_t party = active[ai];
-      std::vector<uint64_t> ids = top;
-      if (party != 0) {
-        VFPS_ASSIGN_OR_RETURN(auto payload,
-                              env.chan->Recv(kLeader, static_cast<int>(party)));
-        VFPS_ASSIGN_OR_RETURN(ids, DecodeIds(payload));
-      }
-      double dt = 0.0;
-      for (uint64_t idx : ids) dt += packed[ai][qi * count + idx];
-      if (party == 0) {
-        hood.per_party_dt[0] = dt;
-      } else {
-        VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(party), kLeader,
-                                          EncodeScalar(dt)));
-        VFPS_ASSIGN_OR_RETURN(auto payload,
-                              env.chan->Recv(static_cast<int>(party), kLeader));
-        VFPS_ASSIGN_OR_RETURN(hood.per_party_dt[party], DecodeScalar(payload));
+          NarrowCandidates(env, s, &slices[0], &partials, &depth));
+      for (uint64_t row : slices[0].rows) {
+        announce.push_back(env.pseudo->ToPseudo(row));
       }
     }
-    ChargeFanIn(env.clock, sizeof(double), a - 1);
+    round.segments.clear();
+    for (size_t q = 0; q < g; ++q) {
+      round.segments.push_back(slices[q].rows.size());
+      candidates[q] += slices[q].rows.size();
+    }
+    VFPS_RETURN_NOT_OK(
+        AggregationRound(env, s, partials.values, partials.hits, &round));
+
+    // Shard top-k per query, with each entry's partials kept for the d_T
+    // exchange (k per shard, so nothing is recomputed later).
+    size_t offset = 0;
+    for (size_t q = 0; q < g; ++q) {
+      std::vector<Nominee>& list = nominees[q];
+      const size_t first = list.size();
+      for (uint64_t li : round.top[q]) {
+        Nominee& nominee = list.emplace_back();
+        nominee.value = round.aggregate[offset + li];
+        nominee.row = slices[q].rows[li];
+        nominee.id = wire_id(nominee.row, queries[q]);
+        for (size_t ai = 0; ai < a; ++ai) {
+          nominee.partials.push_back(partials.values[ai][offset + li]);
+        }
+      }
+      offset += slices[q].rows.size();
+      if (!multi) continue;
+      // The merge wants (value, id) order; SmallestK broke ties by item
+      // position, which in the top-k modes is Fagin's seen order.
+      std::sort(list.begin() + first, list.end(),
+                [](const Nominee& x, const Nominee& y) {
+                  return x.value != y.value ? x.value < y.value : x.id < y.id;
+                });
+      topk::ShardTopk& top = shard_tops[q].emplace_back();
+      for (size_t i = first; i < list.size(); ++i) {
+        top.values.push_back(list[i].value);
+        top.ids.push_back(list[i].id);
+      }
+    }
   }
-  phase_dt.End();
-  span_dt.End();
+
+  // Hierarchical merge at the leader: tournament rounds over the shard
+  // top-ks, lossless and associative, so the result equals the top-k of the
+  // concatenated candidate set. A one-shard plan's top-k is already final.
+  Phase phase_merge(multi ? env.tracer : nullptr, env.clock, "knn.topk_merge",
+                    "leader", multi ? c_phase_merge_ : nullptr);
+  for (size_t q = 0; q < g && multi; ++q) {
+    topk::ShardMergeStats merge_stats;
+    VFPS_ASSIGN_OR_RETURN(auto merged,
+                          topk::HierarchicalTopkMerge(std::move(shard_tops[q]),
+                                                      k, &merge_stats));
+    env.clock->Advance(CostCategory::kCompute,
+                       cost_->SortSeconds(merge_stats.entries_in));
+    if (c_shard_merges_ != nullptr) c_shard_merges_->Add(merge_stats.merges);
+    std::vector<Nominee> winners;
+    for (uint64_t id : merged.ids) {
+      winners.push_back(std::move(*std::find_if(
+          nominees[q].begin(), nominees[q].end(),
+          [id](const Nominee& x) { return x.id == id; })));
+    }
+    nominees[q] = std::move(winners);
+  }
+  phase_merge.End();
+
+  std::vector<QueryNeighborhood> hoods(g);
+  VFPS_RETURN_NOT_OK(ExchangeDt(env, queries, nominees, &hoods));
 
   if (h_candidates_ != nullptr) {
-    for (size_t qi = 0; qi < g; ++qi) h_candidates_->Record(count);
+    for (uint64_t c : candidates) h_candidates_->Record(c);
   }
-  if (stats != nullptr) stats->candidates_encrypted += total;
+  if (stats != nullptr) {
+    for (uint64_t c : candidates) stats->candidates_encrypted += c;
+    stats->fagin_depth += depth;
+  }
   return hoods;
 }
 
-Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
-    const QueryEnv& env, const PseudoIdMap& pseudo, uint64_t query_row,
-    size_t k, size_t batch, KnnOracleMode mode, FedKnnStats* stats) const {
-  const size_t n = joint_->num_samples();
-  const size_t p = num_participants();
+size_t FederatedKnnOracle::BuildSlice(const QueryEnv& env, size_t shard,
+                                      uint64_t query_row,
+                                      const std::vector<uint64_t>* nominated,
+                                      Slice* slice) const {
+  const data::RowShard& range = env.shards->plan[shard];
+  const bool ranked = env.config->mode != KnnOracleMode::kBase;
+  slice->query_row = query_row;
+  if (nominated != nullptr) {
+    // The nominated rows of this shard (ascending; the query is never one).
+    const auto first = std::lower_bound(nominated->begin(), nominated->end(),
+                                        static_cast<uint64_t>(range.begin));
+    const auto last = std::lower_bound(first, nominated->end(),
+                                       static_cast<uint64_t>(range.end));
+    slice->rows.assign(first, last);
+    if (ranked) {
+      std::sort(slice->rows.begin(), slice->rows.end(),
+                [&env](uint64_t x, uint64_t y) {
+                  return env.pseudo->ToPseudo(x) < env.pseudo->ToPseudo(y);
+                });
+    }
+    return slice->rows.size();
+  }
+  if (ranked) {
+    slice->rows = env.shards->ranked_rows[shard];
+    return slice->rows.size() - (range.contains(query_row) ? 1 : 0);
+  }
+  slice->rows.clear();
+  for (size_t row = range.begin; row < range.end; ++row) {
+    if (row != query_row) slice->rows.push_back(row);
+  }
+  return slice->rows.size();
+}
+
+void FederatedKnnOracle::ComputePartials(const QueryEnv& env, size_t shard,
+                                         const std::vector<Slice>& slices,
+                                         PartyPartials* out,
+                                         FedKnnStats* stats) const {
   const std::vector<size_t>& active = *env.active;
-  const size_t a = active.size();  // == p with no quarantine
+  const size_t a = active.size();
+  const data::RowShard& range = env.shards->plan[shard];
+  const bool ranked = env.config->mode != KnnOracleMode::kBase;
+  const bool dense = env.shards->prefilter == nullptr;
+  size_t total = 0;
+  for (const Slice& slice : slices) total += slice.rows.size();
 
-  // Step 1: consortium-shared pseudo-ID shuffle (identity security). The map
-  // is built once per Run and shared read-only across query tasks.
-  const uint64_t query_pid = pseudo.ToPseudo(query_row);
-
-  // Step 2 (active participants, parallel): partial distances in pseudo-ID
-  // space, sorted ascending to form sub-rankings. Indexed by position in
-  // `active`.
-  obs::Span span_dist(env.tracer, "knn.partial_distance", env.clock);
-  span_dist.SetNode("parties");
-  PhaseTimer phase_dist(c_phase_dist_, env.clock);
+  // Repair-cache lookup: a party's contribution is reusable only when it
+  // covers this shard's full item range and carries what the round needs (a
+  // sub-ranking, or the ciphertext the server still holds).
   const auto cached_for = [&](size_t party) -> const PartyUnitState* {
     if (env.cached == nullptr) return nullptr;
-    const auto it = env.cached->parties.find(party);
-    if (it == env.cached->parties.end()) return nullptr;
+    const auto it = env.cached->entries.find({shard, party});
+    if (it == env.cached->entries.end()) return nullptr;
     const PartyUnitState& st = it->second;
-    return (st.values.size() == n && st.order.size() == n) ? &st : nullptr;
+    const bool complete =
+        ranked ? st.order.size() == total : st.has_cipher;
+    return (complete && st.values.size() == total) ? &st : nullptr;
   };
-  std::vector<std::vector<double>> scores(a);
-  std::vector<std::vector<uint64_t>> orders(a);
-  // Rows of a party's sub-ranking the server already received in a prior run
-  // of this unit — streaming below skips them.
-  std::vector<size_t> prior_depth(a, 0);
+
+  // Active participants, in parallel: local partial distances (+ the
+  // sub-ranking sort in the top-k modes). Parties with a cached contribution
+  // skip the work — on repair only the membership delta pays.
+  Phase phase_dist(env.tracer, env.clock, "knn.partial_distance", "parties",
+                   c_phase_dist_);
+  out->values.resize(a);
+  out->orders.resize(a);
+  out->hits.assign(a, nullptr);
+  out->prior_depth.assign(a, 0);
   std::vector<double> compute_seconds;
   compute_seconds.reserve(a);
-  size_t fresh = 0;
+  thread_local std::vector<double> qslice;  // per-thread scratch
+  thread_local std::vector<double> scratch;
   for (size_t ai = 0; ai < a; ++ai) {
-    if (const PartyUnitState* st = cached_for(active[ai])) {
-      scores[ai] = st->values;
-      orders[ai] = st->order;
-      prior_depth[ai] = st->streamed_depth;
+    const size_t party = active[ai];
+    if (const PartyUnitState* st = cached_for(party)) {
+      out->hits[ai] = st;
+      out->values[ai] = st->values;
+      if (ranked) {
+        out->orders[ai] = st->order;
+        out->prior_depth[ai] = st->streamed_depth;
+      }
       if (stats != nullptr) ++stats->reused_contributions;
       if (c_cache_hit_ != nullptr) c_cache_hit_->Add(1);
       continue;
@@ -1024,66 +779,110 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
       c_cache_miss_->Add(1);
     }
     obs::Span party_span(env.tracer, "knn.party.compute", env.clock);
-    party_span.SetNode(net::NodeName(static_cast<int>(active[ai])));
-    scores[ai].resize(n);
-    // Same kernel as the BASE path (PartialDistances without exclusion), so
-    // the per-(party, row) values agree exactly across oracle modes; only
-    // the pseudo-ID scatter differs.
-    const auto partial =
-        PartialDistances(active[ai], *joint_, query_row, n /*no exclusion*/);
-    for (size_t i = 0; i < n; ++i) {
-      scores[ai][pseudo.ToPseudo(i)] = partial[i];
+    party_span.SetNode(net::NodeName(static_cast<int>(party)));
+    const ml::FeatureBlock& block = party_blocks_[party];
+    std::vector<double>& values = out->values[ai];
+    values.resize(total);
+    double seconds = 0.0;
+    size_t offset = 0;
+    for (const Slice& slice : slices) {
+      const double q_norm =
+          GatherQuery(block, joint_->Row(slice.query_row), &qslice);
+      double* dst = values.data() + offset;
+      // Each row's value is independent of a sweep's bounds, so range
+      // sweeps, split sweeps and single-row calls all agree bit for bit.
+      if (dense && !ranked) {
+        // BASE: the shard's rows in order minus the query — two sweeps
+        // around the query write the slice in place.
+        const size_t cut =
+            range.contains(slice.query_row) ? slice.query_row : range.end;
+        ml::BlockSquaredDistances(block, qslice.data(), q_norm, range.begin,
+                                  cut, dst);
+        if (cut < range.end) {
+          ml::BlockSquaredDistances(block, qslice.data(), q_norm, cut + 1,
+                                    range.end, dst + (cut - range.begin));
+        }
+      } else if (dense) {
+        // Top-k modes: one sweep, gathered into pseudo-id order, with the
+        // query's own row as a +inf item.
+        scratch.resize(range.rows());
+        ml::BlockSquaredDistances(block, qslice.data(), q_norm, range.begin,
+                                  range.end, scratch.data());
+        for (size_t i = 0; i < slice.rows.size(); ++i) {
+          const uint64_t row = slice.rows[i];
+          dst[i] = row == slice.query_row ? kQueryScore
+                                          : scratch[row - range.begin];
+        }
+      } else {
+        for (size_t i = 0; i < slice.rows.size(); ++i) {
+          const size_t row = static_cast<size_t>(slice.rows[i]);
+          ml::BlockSquaredDistances(block, qslice.data(), q_norm, row, row + 1,
+                                    dst + i);
+        }
+      }
+      seconds += cost_->DistanceSeconds(slice.rows.size(), block.cols());
+      offset += slice.rows.size();
     }
-    scores[ai][query_pid] = std::numeric_limits<double>::infinity();
-    orders[ai] = topk::RankedListSet::SortedOrder(scores[ai]);
-    compute_seconds.push_back(
-        cost_->DistanceSeconds(n, (*partition_)[active[ai]].size()) +
-        cost_->SortSeconds(n));
-    ++fresh;
-    if (env.fresh != nullptr) {
-      // Stage the sub-ranking immediately so a later-phase failure still
-      // salvages this party's work (streamed_depth catches up below).
-      PartyUnitState& st = env.fresh->parties[active[ai]];
-      st.values = scores[ai];
-      st.order = orders[ai];
+    if (ranked) {
+      out->orders[ai] = topk::RankedListSet::SortedOrder(values);
+      seconds += cost_->SortSeconds(total);
+      if (env.fresh != nullptr) {
+        // Stage the sub-ranking now so a later-phase failure still salvages
+        // this party's work (streamed_depth catches up after streaming).
+        PartyUnitState& st = env.fresh->entries[{shard, party}];
+        st.values = values;
+        st.order = out->orders[ai];
+      }
     }
+    compute_seconds.push_back(seconds);
   }
-  if (fresh > 0) ChargeParallelCompute(env.clock, compute_seconds);
-  phase_dist.End();
-  span_dist.End();
+  if (!compute_seconds.empty()) {
+    ChargeParallelCompute(env.clock, compute_seconds);
+  }
+}
 
-  obs::Span span_merge(env.tracer, "knn.topk_merge", env.clock);
-  span_merge.SetNode("agg-server");
-  PhaseTimer phase_merge(c_phase_merge_, env.clock);
+Status FederatedKnnOracle::NarrowCandidates(const QueryEnv& env, size_t shard,
+                                            Slice* slice, PartyPartials* in,
+                                            uint64_t* depth_out) const {
+  const std::vector<size_t>& active = *env.active;
+  const size_t a = active.size();
+  const size_t k = env.config->k;
+  const size_t batch = env.config->fagin_batch;
+  const bool threshold = env.config->mode == KnnOracleMode::kThreshold;
+
+  // The server's phase-1 merge over the parties' sub-rankings.
+  Phase phase_merge(env.tracer, env.clock, "knn.topk_merge", "agg-server",
+                    c_phase_merge_);
   VFPS_ASSIGN_OR_RETURN(auto lists,
-                        topk::RankedListSet::BuildPresorted(scores, orders));
+                        topk::RankedListSet::BuildPresorted(
+                            std::move(in->values), std::move(in->orders)));
   topk::TopkResult merge;
-  if (mode == KnnOracleMode::kThreshold) {
+  if (threshold) {
     VFPS_ASSIGN_OR_RETURN(merge, topk::ThresholdTopk(lists, k, obs_));
   } else {
     VFPS_ASSIGN_OR_RETURN(merge, topk::FaginTopk(lists, k, batch, obs_));
   }
-  const topk::TopkResult& fagin = merge;
   phase_merge.End();
-  span_merge.End();
 
-  // Steps 3-4: mini-batch streaming of the sub-rankings to the server. The
+  // Mini-batch streaming of the sub-rankings (pseudo ids on the wire). The
   // phase-1 depth of the merge algorithm determines how many rounds happen.
-  obs::Span span_stream(env.tracer, "knn.stream_rankings", env.clock);
-  span_stream.SetNode("parties");
-  PhaseTimer phase_stream(c_phase_stream_, env.clock);
-  const size_t depth = fagin.depth;
+  Phase phase_stream(env.tracer, env.clock, "knn.stream_rankings", "parties",
+                     c_phase_stream_);
+  const size_t depth = merge.depth;
   for (size_t start = 0; start < depth; start += batch) {
     const size_t end = std::min(depth, start + batch);
     size_t senders = 0;
     for (size_t ai = 0; ai < a; ++ai) {
       // Parties whose cached sub-ranking already streamed past this round
       // stay silent; a party partially covered sends only the missing tail.
-      if (prior_depth[ai] >= end) continue;
-      const size_t from = std::max(start, prior_depth[ai]);
+      if (in->prior_depth[ai] >= end) continue;
+      const size_t from = std::max(start, in->prior_depth[ai]);
       std::vector<uint64_t> chunk;
       chunk.reserve(end - from);
-      for (size_t r = from; r < end; ++r) chunk.push_back(lists.IdAtRank(ai, r));
+      for (size_t r = from; r < end; ++r) {
+        chunk.push_back(
+            env.pseudo->ToPseudo(slice->rows[lists.IdAtRank(ai, r)]));
+      }
       VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
                                         net::kAggregationServer,
                                         EncodeIds(chunk)));
@@ -1098,161 +897,210 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
   }
   if (env.fresh != nullptr) {
     for (size_t ai = 0; ai < a; ++ai) {
-      if (prior_depth[ai] >= depth) continue;
+      if (in->prior_depth[ai] >= depth) continue;
       // Fresh parties already have a staged entry; for cached parties that
       // streamed deeper this creates a depth-only entry the cache merges.
-      env.fresh->parties[active[ai]].streamed_depth = depth;
+      env.fresh->entries[{shard, active[ai]}].streamed_depth = depth;
     }
   }
   env.clock->Advance(CostCategory::kCompute,
-                     static_cast<double>(fagin.sorted_accesses) * cost_->compare_seconds);
-
-  if (mode == KnnOracleMode::kThreshold) {
+                     static_cast<double>(merge.sorted_accesses) *
+                         cost_->compare_seconds);
+  if (threshold) {
     // TA's stopping rule needs the aggregate score of each round's frontier:
     // every participant encrypts one frontier value, the server sums them,
     // and the leader decrypts the threshold — once per streamed round.
     const double rounds = std::ceil(static_cast<double>(depth) /
                                     static_cast<double>(batch));
-    env.clock->Advance(CostCategory::kEncrypt, rounds * cost_->EncryptSecondsFor(1));
+    env.clock->Advance(CostCategory::kEncrypt,
+                       rounds * cost_->EncryptSecondsFor(1));
     env.clock->Advance(CostCategory::kHeEval,
-                       rounds * static_cast<double>(a - 1) * cost_->HeAddSecondsFor(1));
-    env.clock->Advance(CostCategory::kDecrypt, rounds * cost_->DecryptSecondsFor(1));
+                       rounds * static_cast<double>(a - 1) *
+                           cost_->HeAddSecondsFor(1));
+    env.clock->Advance(CostCategory::kDecrypt,
+                       rounds * cost_->DecryptSecondsFor(1));
     env.clock->Advance(
         CostCategory::kNetwork,
-        rounds * cost_->NetworkSeconds(
-                     cost_->EncryptedWireBytes(1) * (static_cast<uint64_t>(a) + 1),
-                     2));
+        rounds * cost_->NetworkSeconds(cost_->EncryptedWireBytes(1) *
+                                           (static_cast<uint64_t>(a) + 1),
+                                       2));
   }
-
   phase_stream.End();
-  span_stream.End();
 
-  // Candidate set: everything seen during phase 1 (minus the query itself).
-  std::vector<uint64_t> candidates = fagin.candidate_ids;
-  candidates.erase(std::remove(candidates.begin(), candidates.end(), query_pid),
-                   candidates.end());
-  const size_t c = candidates.size();
-
-  // Step 5: server broadcasts the candidate pseudo IDs; participants look up
-  // exactly those candidates' partial distances and encrypt them as one
-  // batch (the batched-HE fast path; identical ciphertexts at any thread
-  // count, see HeBackend::EncryptBatch).
-  obs::Span span_enc(env.tracer, "he.encrypt", env.clock);
-  span_enc.SetNode("parties");
-  PhaseTimer phase_enc(c_phase_encrypt_, env.clock);
-  for (size_t party : active) {
-    VFPS_RETURN_NOT_OK(env.chan->Send(net::kAggregationServer,
-                                      static_cast<int>(party),
-                                      EncodeIds(candidates)));
+  // Candidate set: everything seen during phase 1, minus the query itself.
+  // The slice and the parties' values shrink to it; its values depend on the
+  // membership, so no server-held ciphertext applies to it.
+  std::vector<uint64_t> rows;
+  std::vector<std::vector<double>> values(a);
+  for (uint64_t item : merge.candidate_ids) {
+    if (slice->rows[item] == slice->query_row) continue;
+    rows.push_back(slice->rows[item]);
+    for (size_t ai = 0; ai < a; ++ai) {
+      values[ai].push_back(lists.Score(ai, item));
+    }
   }
-  ChargeFanOut(env.clock, c * sizeof(uint64_t), a);
+  slice->rows = std::move(rows);
+  in->values = std::move(values);
+  in->hits.clear();
+  *depth_out += depth;
+  return Status::OK();
+}
 
-  std::vector<std::vector<double>> party_values(a);
-  for (size_t ai = 0; ai < a; ++ai) {
-    VFPS_ASSIGN_OR_RETURN(auto payload,
-                          env.chan->Recv(net::kAggregationServer,
-                                         static_cast<int>(active[ai])));
-    VFPS_ASSIGN_OR_RETURN(auto ids, DecodeIds(payload));
-    party_values[ai].reserve(ids.size());
-    for (uint64_t pid : ids) party_values[ai].push_back(scores[ai][pid]);
+Status FederatedKnnOracle::AggregationRound(
+    const QueryEnv& env, size_t shard,
+    const std::vector<std::vector<double>>& values,
+    const std::vector<const PartyUnitState*>& held, Round* round) const {
+  const std::vector<size_t>& active = *env.active;
+  const size_t a = active.size();
+  size_t count = 0;
+  for (size_t len : round->segments) count += len;
+  const auto is_held = [&held](size_t ai) {
+    return !held.empty() && held[ai] != nullptr;
+  };
+
+  // Parties encrypt their vectors as one batch (identical ciphertexts at any
+  // thread count, see HeBackend::EncryptBatch) and upload them; parties whose
+  // ciphertext the server already holds stay silent. In the top-k modes the
+  // server first broadcasts the candidate ids the values belong to.
+  Phase phase_enc(env.tracer, env.clock, "he.encrypt", "parties",
+                  c_phase_encrypt_);
+  if (round->announce != nullptr) {
+    for (size_t party : active) {
+      VFPS_RETURN_NOT_OK(env.chan->Send(net::kAggregationServer,
+                                        static_cast<int>(party),
+                                        EncodeIds(*round->announce)));
+    }
+    ChargeFanOut(env.clock, round->announce->size() * sizeof(uint64_t), a);
+    for (size_t party : active) {
+      VFPS_ASSIGN_OR_RETURN(auto payload,
+                            env.chan->Recv(net::kAggregationServer,
+                                           static_cast<int>(party)));
+      VFPS_RETURN_NOT_OK(DecodeIds(payload).status());
+    }
   }
-  VFPS_ASSIGN_OR_RETURN(auto encrypted, env.backend->EncryptBatch(party_values));
+  size_t fresh = 0;
+  std::vector<std::vector<double>> subset;  // copies only when some are held
+  for (size_t ai = 0; ai < a; ++ai) fresh += is_held(ai) ? 0 : 1;
+  for (size_t ai = 0; ai < a && fresh < a; ++ai) {
+    if (!is_held(ai)) subset.push_back(values[ai]);
+  }
+  const std::vector<std::vector<double>>& batch = fresh < a ? subset : values;
+  if (fresh > 0) {
+    VFPS_ASSIGN_OR_RETURN(auto encrypted, env.backend->EncryptBatch(batch));
+    size_t fi = 0;
+    for (size_t ai = 0; ai < a; ++ai) {
+      if (is_held(ai)) continue;
+      if (!c_party_enc_values_.empty()) {
+        c_party_enc_values_[active[ai]]->Add(count);
+      }
+      VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
+                                        net::kAggregationServer,
+                                        std::move(encrypted[fi++].blob)));
+    }
+    env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(count));
+    ChargeFanIn(env.clock, cost_->EncryptedWireBytes(count), fresh);
+  }
+  phase_enc.End();
+
+  // Aggregation server: homomorphic sum over the ciphertexts it holds plus
+  // the fresh uploads, in ascending active order so a repair sums
+  // bit-identically to a clean run; forward to the leader.
+  Phase phase_agg(env.tracer, env.clock, "knn.aggregate", "agg-server",
+                  c_phase_agg_);
+  std::vector<he::EncryptedVector> received(a);
   std::vector<const he::EncryptedVector*> ptrs(a);
   for (size_t ai = 0; ai < a; ++ai) {
-    if (!c_party_enc_values_.empty()) {
-      c_party_enc_values_[active[ai]]->Add(c);
+    if (is_held(ai)) {
+      ptrs[ai] = &held[ai]->cipher;
+      continue;
     }
-    VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
-                                      net::kAggregationServer,
-                                      encrypted[ai].blob));
-  }
-  env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(c));
-  ChargeFanIn(env.clock, cost_->EncryptedWireBytes(c), a);
-  phase_enc.End();
-  span_enc.End();
-
-  // Step 6: homomorphic aggregation, forwarded to the leader.
-  obs::Span span_agg(env.tracer, "knn.aggregate", env.clock);
-  span_agg.SetNode("agg-server");
-  PhaseTimer phase_agg(c_phase_agg_, env.clock);
-  for (size_t ai = 0; ai < a; ++ai) {
     VFPS_ASSIGN_OR_RETURN(auto blob,
                           env.chan->Recv(static_cast<int>(active[ai]),
                                          net::kAggregationServer));
-    encrypted[ai] = he::EncryptedVector{std::move(blob), c};
-    ptrs[ai] = &encrypted[ai];
+    received[ai] = he::EncryptedVector{std::move(blob), count};
+    ptrs[ai] = &received[ai];
+    if (!held.empty() && env.fresh != nullptr) {
+      PartyUnitState& st = env.fresh->entries[{shard, active[ai]}];
+      st.values = values[ai];
+      st.cipher = received[ai];
+      st.has_cipher = true;
+    }
   }
   VFPS_ASSIGN_OR_RETURN(auto summed, env.backend->Sum(ptrs));
-  env.clock->Advance(CostCategory::kHeEval,
-                     static_cast<double>(a - 1) * cost_->HeAddSecondsFor(c));
-  VFPS_RETURN_NOT_OK(env.chan->Send(net::kAggregationServer, kLeader, summed.blob));
-  ChargeFanOut(env.clock, cost_->EncryptedWireBytes(c), 1);
+  env.clock->Advance(CostCategory::kHeEval, static_cast<double>(a - 1) *
+                                                cost_->HeAddSecondsFor(count));
+  VFPS_RETURN_NOT_OK(env.chan->Send(net::kAggregationServer, kLeader,
+                                    std::move(summed.blob)));
+  ChargeFanOut(env.clock, cost_->EncryptedWireBytes(count), 1);
   phase_agg.End();
-  span_agg.End();
 
-  // Step 7 (leader): decrypt candidate aggregates, take the k nearest.
-  obs::Span span_rank(env.tracer, "knn.decrypt_rank", env.clock);
-  span_rank.SetNode("leader");
-  PhaseTimer phase_rank(c_phase_rank_, env.clock);
-  VFPS_ASSIGN_OR_RETURN(auto blob, env.chan->Recv(net::kAggregationServer, kLeader));
+  // Leader: ONE decrypt for the round, then rank each segment of the sum.
+  Phase phase_rank(env.tracer, env.clock, "knn.decrypt_rank", "leader",
+                   c_phase_rank_);
+  VFPS_ASSIGN_OR_RETURN(auto blob,
+                        env.chan->Recv(net::kAggregationServer, kLeader));
   VFPS_ASSIGN_OR_RETURN(
-      auto agg_distances,
-      env.backend->Decrypt(he::EncryptedVector{std::move(blob), c}));
-  env.clock->Advance(CostCategory::kDecrypt, cost_->DecryptSecondsFor(c));
-  env.clock->Advance(CostCategory::kCompute, cost_->SortSeconds(c));
-  const auto top_local = SmallestK(agg_distances, k);
-  phase_rank.End();
-  span_rank.End();
-  std::vector<uint64_t> neighbor_pids;
-  neighbor_pids.reserve(top_local.size());
-  for (uint64_t idx : top_local) neighbor_pids.push_back(candidates[idx]);
-
-  QueryNeighborhood hood;
-  hood.query_row = query_row;
-  VFPS_ASSIGN_OR_RETURN(hood.neighbors, pseudo.MapToOriginal(neighbor_pids));
-
-  // Step 8: leader broadcasts the neighbor set; active participants return
-  // d_T^p (quarantined slots keep 0).
-  obs::Span span_dt(env.tracer, "knn.dt_exchange", env.clock);
-  span_dt.SetNode("leader");
-  PhaseTimer phase_dt(c_phase_dt_, env.clock);
-  for (size_t party : active) {
-    if (party == 0) continue;
-    VFPS_RETURN_NOT_OK(env.chan->Send(kLeader, static_cast<int>(party),
-                                      EncodeIds(neighbor_pids)));
+      round->aggregate,
+      env.backend->Decrypt(he::EncryptedVector{std::move(blob), count}));
+  env.clock->Advance(CostCategory::kDecrypt, cost_->DecryptSecondsFor(count));
+  round->top.resize(round->segments.size());
+  size_t offset = 0;
+  for (size_t i = 0; i < round->segments.size(); ++i) {
+    const size_t len = round->segments[i];
+    env.clock->Advance(CostCategory::kCompute, cost_->SortSeconds(len));
+    round->top[i] =
+        SmallestK(round->aggregate.data() + offset, len, env.config->k);
+    offset += len;
   }
-  ChargeFanOut(env.clock, neighbor_pids.size() * sizeof(uint64_t), a - 1);
-  hood.per_party_dt.assign(p, 0.0);
-  for (size_t ai = 0; ai < a; ++ai) {
-    const size_t party = active[ai];
-    std::vector<uint64_t> pids = neighbor_pids;
-    if (party != 0) {
-      VFPS_ASSIGN_OR_RETURN(auto payload,
-                            env.chan->Recv(kLeader, static_cast<int>(party)));
-      VFPS_ASSIGN_OR_RETURN(pids, DecodeIds(payload));
+  return Status::OK();
+}
+
+Status FederatedKnnOracle::ExchangeDt(
+    const QueryEnv& env, const size_t* queries,
+    const std::vector<std::vector<Nominee>>& winners,
+    std::vector<QueryNeighborhood>* hoods) const {
+  const std::vector<size_t>& active = *env.active;
+  const size_t a = active.size();
+  Phase phase_dt(env.tracer, env.clock, "knn.dt_exchange", "leader",
+                 c_phase_dt_);
+  for (size_t q = 0; q < winners.size(); ++q) {
+    QueryNeighborhood& hood = (*hoods)[q];
+    hood.query_row = queries[q];
+    std::vector<uint64_t> ids;
+    for (const Nominee& w : winners[q]) {
+      hood.neighbors.push_back(w.row);
+      ids.push_back(w.id);
     }
-    double dt = 0.0;
-    for (uint64_t pid : pids) dt += scores[ai][pid];
-    if (party == 0) {
-      hood.per_party_dt[0] = dt;
-    } else {
+    for (size_t party : active) {
+      if (party == 0) continue;
       VFPS_RETURN_NOT_OK(
-          env.chan->Send(static_cast<int>(party), kLeader, EncodeScalar(dt)));
-      VFPS_ASSIGN_OR_RETURN(auto payload,
-                            env.chan->Recv(static_cast<int>(party), kLeader));
-      VFPS_ASSIGN_OR_RETURN(hood.per_party_dt[party], DecodeScalar(payload));
+          env.chan->Send(kLeader, static_cast<int>(party), EncodeIds(ids)));
     }
+    ChargeFanOut(env.clock, ids.size() * sizeof(uint64_t), a - 1);
+    // Quarantined slots keep d_T^p = 0 (the caller drops them anyway).
+    hood.per_party_dt.assign(num_participants(), 0.0);
+    for (size_t ai = 0; ai < a; ++ai) {
+      const size_t party = active[ai];
+      if (party != 0) {
+        VFPS_ASSIGN_OR_RETURN(auto payload,
+                              env.chan->Recv(kLeader, static_cast<int>(party)));
+        VFPS_RETURN_NOT_OK(DecodeIds(payload).status());
+      }
+      double dt = 0.0;
+      for (const Nominee& w : winners[q]) dt += w.partials[ai];
+      if (party == 0) {
+        hood.per_party_dt[0] = dt;
+      } else {
+        VFPS_RETURN_NOT_OK(
+            env.chan->Send(static_cast<int>(party), kLeader, EncodeScalar(dt)));
+        VFPS_ASSIGN_OR_RETURN(auto payload,
+                              env.chan->Recv(static_cast<int>(party), kLeader));
+        VFPS_ASSIGN_OR_RETURN(hood.per_party_dt[party], DecodeScalar(payload));
+      }
+    }
+    ChargeFanIn(env.clock, sizeof(double), a - 1);
   }
-  ChargeFanIn(env.clock, sizeof(double), a - 1);
-  phase_dt.End();
-  span_dt.End();
-
-  if (h_candidates_ != nullptr) h_candidates_->Record(c);
-  if (stats != nullptr) {
-    stats->candidates_encrypted += c;
-    stats->fagin_depth += depth;
-  }
-  return hood;
+  return Status::OK();
 }
 
 Result<std::vector<uint64_t>> FederatedKnnOracle::RunPrefilterExchange(
@@ -1340,561 +1188,6 @@ Result<std::vector<uint64_t>> FederatedKnnOracle::RunPrefilterExchange(
   return candidates;
 }
 
-Result<QueryNeighborhood> FederatedKnnOracle::RunBaseQuerySharded(
-    const QueryEnv& env, uint64_t query_row, size_t k,
-    FedKnnStats* stats) const {
-  const size_t p = num_participants();
-  const std::vector<size_t>& active = *env.active;
-  const size_t a = active.size();
-  const ShardRuntime& rt = *env.shard;
-
-  // Optional TreeCSS-style pre-filter: nomination happens once, BEFORE any
-  // distance or HE work, and every shard below touches only its slice of the
-  // candidate set. `filtered == false` means every row is a candidate.
-  const bool filtered = rt.prefilter != nullptr;
-  std::vector<uint64_t> candidates;  // ascending original rows, query excluded
-  if (filtered) {
-    VFPS_ASSIGN_OR_RETURN(candidates,
-                          RunPrefilterExchange(env, rt, query_row));
-  }
-
-  // Per-party query slices, gathered once and reused by every shard.
-  std::vector<std::vector<double>> qslices(a);
-  std::vector<double> qnorms(a, 0.0);
-  const double* qrow = joint_->Row(query_row);
-  for (size_t ai = 0; ai < a; ++ai) {
-    const ml::FeatureBlock& block = party_blocks_[active[ai]];
-    qslices[ai].resize(block.cols());
-    block.GatherInto(qrow, qslices[ai].data());
-    qnorms[ai] = ml::SquaredNorm(qslices[ai].data(), block.cols());
-  }
-
-  // Shard loop: the complete BASE round (distances -> encrypt -> aggregate ->
-  // decrypt -> shard-local SmallestK) runs per shard, so only O(shard)
-  // protocol state is ever live. Ids are global COMPRESSED indices (the
-  // unsharded ranking's id space), which keeps the merge's (value, id) order
-  // identical to RunBaseQuery's SmallestK order.
-  std::vector<topk::ShardTopk> shard_tops;
-  shard_tops.reserve(rt.plan.size());
-  size_t total_count = 0;
-  for (size_t s = 0; s < rt.plan.size(); ++s) {
-    const data::RowShard& shard = rt.plan[s];
-    // This shard's candidate rows, ascending, query row excluded.
-    std::vector<uint64_t> rows;
-    if (filtered) {
-      const auto first =
-          std::lower_bound(candidates.begin(), candidates.end(),
-                           static_cast<uint64_t>(shard.begin));
-      const auto last = std::lower_bound(first, candidates.end(),
-                                         static_cast<uint64_t>(shard.end));
-      rows.assign(first, last);
-    } else {
-      rows.reserve(shard.rows());
-      for (size_t row = shard.begin; row < shard.end; ++row) {
-        if (row != query_row) rows.push_back(row);
-      }
-    }
-    const size_t count = rows.size();
-    if (count == 0) continue;
-    total_count += count;
-
-    obs::Span shard_span(env.tracer, "knn.shard", env.clock);
-    shard_span.SetNode("parties");
-    if (env.tracer != nullptr) {
-      shard_span.Annotate("shard", StrFormat("%zu", s));
-      shard_span.Annotate("rows", StrFormat("%zu", count));
-    }
-    PhaseTimer shard_timer(rt.sim_ns.empty() ? nullptr : rt.sim_ns[s],
-                           env.clock);
-    if (!rt.candidates.empty()) rt.candidates[s]->Add(count);
-
-    // Phase 1 (parallel parties): partial distances over the shard's rows via
-    // the range kernel — contiguous sub-ranges around the query row when
-    // unfiltered, single-row calls on the sparse candidate set when filtered.
-    // Either way each row's value is bit-identical to a full-range sweep.
-    PhaseTimer phase_dist(c_phase_dist_, env.clock);
-    std::vector<std::vector<double>> partials(a);
-    std::vector<double> compute_seconds(a, 0.0);
-    for (size_t ai = 0; ai < a; ++ai) {
-      const ml::FeatureBlock& block = party_blocks_[active[ai]];
-      const double* q = qslices[ai].data();
-      partials[ai].resize(count);
-      if (!filtered) {
-        if (query_row < shard.begin || query_row >= shard.end) {
-          ml::BlockSquaredDistances(block, q, qnorms[ai], shard.begin,
-                                    shard.end, partials[ai].data());
-        } else {
-          ml::BlockSquaredDistances(block, q, qnorms[ai], shard.begin,
-                                    query_row, partials[ai].data());
-          ml::BlockSquaredDistances(block, q, qnorms[ai], query_row + 1,
-                                    shard.end,
-                                    partials[ai].data() +
-                                        (query_row - shard.begin));
-        }
-      } else {
-        for (size_t i = 0; i < count; ++i) {
-          const size_t row = static_cast<size_t>(rows[i]);
-          ml::BlockSquaredDistances(block, q, qnorms[ai], row, row + 1,
-                                    &partials[ai][i]);
-        }
-      }
-      compute_seconds[ai] = cost_->DistanceSeconds(count, block.cols());
-    }
-    ChargeParallelCompute(env.clock, compute_seconds);
-    phase_dist.End();
-
-    // Phases 2-4: per-shard encrypted aggregation round — the same wire
-    // shape as the unsharded BASE round, sized by the shard.
-    PhaseTimer phase_enc(c_phase_encrypt_, env.clock);
-    VFPS_ASSIGN_OR_RETURN(auto encrypted, env.backend->EncryptBatch(partials));
-    for (size_t ai = 0; ai < a; ++ai) {
-      if (!c_party_enc_values_.empty()) {
-        c_party_enc_values_[active[ai]]->Add(count);
-      }
-      VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
-                                        net::kAggregationServer,
-                                        encrypted[ai].blob));
-    }
-    env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(count));
-    ChargeFanIn(env.clock, cost_->EncryptedWireBytes(count), a);
-    phase_enc.End();
-
-    PhaseTimer phase_agg(c_phase_agg_, env.clock);
-    std::vector<const he::EncryptedVector*> ptrs(a);
-    for (size_t ai = 0; ai < a; ++ai) {
-      VFPS_ASSIGN_OR_RETURN(auto blob,
-                            env.chan->Recv(static_cast<int>(active[ai]),
-                                           net::kAggregationServer));
-      encrypted[ai] = he::EncryptedVector{std::move(blob), count};
-      ptrs[ai] = &encrypted[ai];
-    }
-    VFPS_ASSIGN_OR_RETURN(auto summed, env.backend->Sum(ptrs));
-    env.clock->Advance(CostCategory::kHeEval,
-                       static_cast<double>(a - 1) *
-                           cost_->HeAddSecondsFor(count));
-    VFPS_RETURN_NOT_OK(
-        env.chan->Send(net::kAggregationServer, kLeader, summed.blob));
-    ChargeFanOut(env.clock, cost_->EncryptedWireBytes(count), 1);
-    phase_agg.End();
-
-    PhaseTimer phase_rank(c_phase_rank_, env.clock);
-    VFPS_ASSIGN_OR_RETURN(auto blob,
-                          env.chan->Recv(net::kAggregationServer, kLeader));
-    VFPS_ASSIGN_OR_RETURN(
-        auto distances,
-        env.backend->Decrypt(he::EncryptedVector{std::move(blob), count}));
-    env.clock->Advance(CostCategory::kDecrypt, cost_->DecryptSecondsFor(count));
-    env.clock->Advance(CostCategory::kCompute, cost_->SortSeconds(count));
-    const auto top = SmallestK(distances.data(), count, k);
-    phase_rank.End();
-
-    // Shard-local top-k in the global compressed id space. `rows` is
-    // ascending, so compressed ids are monotone in the local index and
-    // SmallestK's (value, local index) order IS the merge's (value, id)
-    // order — no re-sort needed.
-    topk::ShardTopk st;
-    st.values.reserve(top.size());
-    st.ids.reserve(top.size());
-    for (uint64_t li : top) {
-      st.values.push_back(distances[li]);
-      const uint64_t row = rows[li];
-      st.ids.push_back(row < query_row ? row : row - 1);
-    }
-    shard_tops.push_back(std::move(st));
-  }
-
-  // Hierarchical merge at the leader: tournament rounds over the shard
-  // top-ks. Lossless and associative, so the result equals the top-k of the
-  // concatenated candidate set — i.e. exactly RunBaseQuery's ranking when
-  // the pre-filter is off.
-  obs::Span span_merge(env.tracer, "knn.topk_merge", env.clock);
-  span_merge.SetNode("leader");
-  PhaseTimer phase_merge(c_phase_merge_, env.clock);
-  topk::ShardMergeStats merge_stats;
-  VFPS_ASSIGN_OR_RETURN(auto merged,
-                        topk::HierarchicalTopkMerge(std::move(shard_tops), k,
-                                                    &merge_stats));
-  env.clock->Advance(CostCategory::kCompute,
-                     cost_->SortSeconds(merge_stats.entries_in));
-  if (c_shard_merges_ != nullptr) c_shard_merges_->Add(merge_stats.merges);
-  phase_merge.End();
-  span_merge.End();
-
-  QueryNeighborhood hood;
-  hood.query_row = query_row;
-  hood.neighbors.reserve(merged.size());
-  for (uint64_t idx : merged.ids) {
-    hood.neighbors.push_back(CompressedToRow(idx, query_row));
-  }
-
-  // d_T exchange. The shard-local partials are gone by design (O(shard)
-  // residency), so each party recomputes its k neighbor rows with single-row
-  // kernel calls — bit-identical to the values it aggregated above.
-  obs::Span span_dt(env.tracer, "knn.dt_exchange", env.clock);
-  span_dt.SetNode("leader");
-  PhaseTimer phase_dt(c_phase_dt_, env.clock);
-  for (size_t party : active) {
-    if (party == 0) continue;
-    VFPS_RETURN_NOT_OK(
-        env.chan->Send(kLeader, static_cast<int>(party), EncodeIds(merged.ids)));
-  }
-  ChargeFanOut(env.clock, merged.size() * sizeof(uint64_t), a - 1);
-  hood.per_party_dt.assign(p, 0.0);
-  std::vector<double> dt_seconds(a, 0.0);
-  for (size_t ai = 0; ai < a; ++ai) {
-    const size_t party = active[ai];
-    std::vector<uint64_t> ids = merged.ids;
-    if (party != 0) {
-      VFPS_ASSIGN_OR_RETURN(auto payload,
-                            env.chan->Recv(kLeader, static_cast<int>(party)));
-      VFPS_ASSIGN_OR_RETURN(ids, DecodeIds(payload));
-    }
-    const ml::FeatureBlock& block = party_blocks_[party];
-    double dt = 0.0;
-    for (uint64_t idx : ids) {
-      const size_t row = static_cast<size_t>(CompressedToRow(idx, query_row));
-      double d = 0.0;
-      ml::BlockSquaredDistances(block, qslices[ai].data(), qnorms[ai], row,
-                                row + 1, &d);
-      dt += d;
-    }
-    dt_seconds[ai] = cost_->DistanceSeconds(ids.size(), block.cols());
-    if (party == 0) {
-      hood.per_party_dt[0] = dt;
-    } else {
-      VFPS_RETURN_NOT_OK(
-          env.chan->Send(static_cast<int>(party), kLeader, EncodeScalar(dt)));
-      VFPS_ASSIGN_OR_RETURN(auto payload,
-                            env.chan->Recv(static_cast<int>(party), kLeader));
-      VFPS_ASSIGN_OR_RETURN(hood.per_party_dt[party], DecodeScalar(payload));
-    }
-  }
-  ChargeParallelCompute(env.clock, dt_seconds);
-  ChargeFanIn(env.clock, sizeof(double), a - 1);
-  phase_dt.End();
-  span_dt.End();
-
-  if (h_candidates_ != nullptr) h_candidates_->Record(total_count);
-  if (stats != nullptr) stats->candidates_encrypted += total_count;
-  return hood;
-}
-
-Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuerySharded(
-    const QueryEnv& env, const PseudoIdMap& pseudo, uint64_t query_row,
-    size_t k, size_t batch, KnnOracleMode mode, FedKnnStats* stats) const {
-  const size_t p = num_participants();
-  const std::vector<size_t>& active = *env.active;
-  const size_t a = active.size();
-  const ShardRuntime& rt = *env.shard;
-
-  const bool filtered = rt.prefilter != nullptr;
-  std::vector<uint64_t> candidates;  // ascending original rows, query excluded
-  if (filtered) {
-    VFPS_ASSIGN_OR_RETURN(candidates,
-                          RunPrefilterExchange(env, rt, query_row));
-  }
-
-  std::vector<std::vector<double>> qslices(a);
-  std::vector<double> qnorms(a, 0.0);
-  const double* qrow = joint_->Row(query_row);
-  for (size_t ai = 0; ai < a; ++ai) {
-    const ml::FeatureBlock& block = party_blocks_[active[ai]];
-    qslices[ai].resize(block.cols());
-    block.GatherInto(qrow, qslices[ai].data());
-    qnorms[ai] = ml::SquaredNorm(qslices[ai].data(), block.cols());
-  }
-
-  // Shard loop: each shard runs the COMPLETE Fagin/TA pipeline over its own
-  // rows — sub-ranking sort, phase-1 merge, mini-batch streaming, candidate
-  // encryption, shard-local SmallestK — so resident ranking state is
-  // O(shard·P), never O(N·P). Items live in a shard-local index space; only
-  // pseudo ids go on the wire and into the merge.
-  std::vector<topk::ShardTopk> shard_tops;
-  shard_tops.reserve(rt.plan.size());
-  size_t total_candidates = 0;
-  uint64_t total_depth = 0;
-  for (size_t s = 0; s < rt.plan.size(); ++s) {
-    const data::RowShard& shard = rt.plan[s];
-    std::vector<uint64_t> rows;  // this shard's items (ascending, no query)
-    if (filtered) {
-      const auto first =
-          std::lower_bound(candidates.begin(), candidates.end(),
-                           static_cast<uint64_t>(shard.begin));
-      const auto last = std::lower_bound(first, candidates.end(),
-                                         static_cast<uint64_t>(shard.end));
-      rows.assign(first, last);
-    } else {
-      rows.reserve(shard.rows());
-      for (size_t row = shard.begin; row < shard.end; ++row) {
-        if (row != query_row) rows.push_back(row);
-      }
-    }
-    const size_t m = rows.size();
-    if (m == 0) continue;
-
-    obs::Span shard_span(env.tracer, "knn.shard", env.clock);
-    shard_span.SetNode("parties");
-    if (env.tracer != nullptr) {
-      shard_span.Annotate("shard", StrFormat("%zu", s));
-      shard_span.Annotate("rows", StrFormat("%zu", m));
-    }
-    PhaseTimer shard_timer(rt.sim_ns.empty() ? nullptr : rt.sim_ns[s],
-                           env.clock);
-    if (!rt.candidates.empty()) rt.candidates[s]->Add(m);
-
-    // Phase 1 (parallel parties): shard-local scores + sub-ranking sort.
-    // Unlike the unsharded path the query row is excluded from the item
-    // space up front (instead of carrying an +inf sentinel), which changes
-    // nothing downstream: +inf can never enter a top-k or candidate set.
-    PhaseTimer phase_dist(c_phase_dist_, env.clock);
-    std::vector<uint64_t> pids(m);
-    for (size_t i = 0; i < m; ++i) {
-      pids[i] = pseudo.ToPseudo(static_cast<size_t>(rows[i]));
-    }
-    std::vector<std::vector<double>> scores(a);
-    std::vector<std::vector<uint64_t>> orders(a);
-    std::vector<double> compute_seconds(a, 0.0);
-    for (size_t ai = 0; ai < a; ++ai) {
-      const ml::FeatureBlock& block = party_blocks_[active[ai]];
-      const double* q = qslices[ai].data();
-      scores[ai].resize(m);
-      if (!filtered) {
-        if (query_row < shard.begin || query_row >= shard.end) {
-          ml::BlockSquaredDistances(block, q, qnorms[ai], shard.begin,
-                                    shard.end, scores[ai].data());
-        } else {
-          ml::BlockSquaredDistances(block, q, qnorms[ai], shard.begin,
-                                    query_row, scores[ai].data());
-          ml::BlockSquaredDistances(block, q, qnorms[ai], query_row + 1,
-                                    shard.end,
-                                    scores[ai].data() +
-                                        (query_row - shard.begin));
-        }
-      } else {
-        for (size_t i = 0; i < m; ++i) {
-          const size_t row = static_cast<size_t>(rows[i]);
-          ml::BlockSquaredDistances(block, q, qnorms[ai], row, row + 1,
-                                    &scores[ai][i]);
-        }
-      }
-      orders[ai] = topk::RankedListSet::SortedOrder(scores[ai]);
-      compute_seconds[ai] =
-          cost_->DistanceSeconds(m, block.cols()) + cost_->SortSeconds(m);
-    }
-    ChargeParallelCompute(env.clock, compute_seconds);
-    phase_dist.End();
-
-    // Shard-local phase-1 merge (exact within the shard).
-    PhaseTimer phase_merge(c_phase_merge_, env.clock);
-    VFPS_ASSIGN_OR_RETURN(auto lists,
-                          topk::RankedListSet::BuildPresorted(scores, orders));
-    topk::TopkResult merge;
-    if (mode == KnnOracleMode::kThreshold) {
-      VFPS_ASSIGN_OR_RETURN(merge, topk::ThresholdTopk(lists, k, obs_));
-    } else {
-      VFPS_ASSIGN_OR_RETURN(merge, topk::FaginTopk(lists, k, batch, obs_));
-    }
-    phase_merge.End();
-
-    // Mini-batch streaming of this shard's sub-rankings — the wire carries
-    // pseudo ids, the resident ranking state stays O(shard).
-    PhaseTimer phase_stream(c_phase_stream_, env.clock);
-    const size_t depth = merge.depth;
-    total_depth += depth;
-    for (size_t start = 0; start < depth; start += batch) {
-      const size_t end = std::min(depth, start + batch);
-      for (size_t ai = 0; ai < a; ++ai) {
-        std::vector<uint64_t> chunk;
-        chunk.reserve(end - start);
-        for (size_t r = start; r < end; ++r) {
-          chunk.push_back(pids[lists.IdAtRank(ai, r)]);
-        }
-        VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
-                                          net::kAggregationServer,
-                                          EncodeIds(chunk)));
-        VFPS_RETURN_NOT_OK(env.chan->Recv(static_cast<int>(active[ai]),
-                                          net::kAggregationServer)
-                               .status());
-      }
-      ChargeFanIn(env.clock, (end - start) * sizeof(uint64_t), a);
-    }
-    env.clock->Advance(CostCategory::kCompute,
-                       static_cast<double>(merge.sorted_accesses) *
-                           cost_->compare_seconds);
-    if (mode == KnnOracleMode::kThreshold) {
-      const double rounds = std::ceil(static_cast<double>(depth) /
-                                      static_cast<double>(batch));
-      env.clock->Advance(CostCategory::kEncrypt,
-                         rounds * cost_->EncryptSecondsFor(1));
-      env.clock->Advance(CostCategory::kHeEval,
-                         rounds * static_cast<double>(a - 1) *
-                             cost_->HeAddSecondsFor(1));
-      env.clock->Advance(CostCategory::kDecrypt,
-                         rounds * cost_->DecryptSecondsFor(1));
-      env.clock->Advance(
-          CostCategory::kNetwork,
-          rounds * cost_->NetworkSeconds(cost_->EncryptedWireBytes(1) *
-                                             (static_cast<uint64_t>(a) + 1),
-                                         2));
-    }
-    phase_stream.End();
-
-    // Candidate-set encryption round, sized by this shard's candidates.
-    const std::vector<uint64_t>& cand = merge.candidate_ids;  // local items
-    const size_t c = cand.size();
-    total_candidates += c;
-    std::vector<uint64_t> cand_pids(c);
-    for (size_t i = 0; i < c; ++i) cand_pids[i] = pids[cand[i]];
-
-    PhaseTimer phase_enc(c_phase_encrypt_, env.clock);
-    for (size_t party : active) {
-      VFPS_RETURN_NOT_OK(env.chan->Send(net::kAggregationServer,
-                                        static_cast<int>(party),
-                                        EncodeIds(cand_pids)));
-      VFPS_RETURN_NOT_OK(
-          env.chan->Recv(net::kAggregationServer, static_cast<int>(party))
-              .status());
-    }
-    ChargeFanOut(env.clock, c * sizeof(uint64_t), a);
-    std::vector<std::vector<double>> party_values(a);
-    for (size_t ai = 0; ai < a; ++ai) {
-      party_values[ai].reserve(c);
-      for (uint64_t li : cand) party_values[ai].push_back(scores[ai][li]);
-    }
-    VFPS_ASSIGN_OR_RETURN(auto encrypted,
-                          env.backend->EncryptBatch(party_values));
-    std::vector<const he::EncryptedVector*> ptrs(a);
-    for (size_t ai = 0; ai < a; ++ai) {
-      if (!c_party_enc_values_.empty()) {
-        c_party_enc_values_[active[ai]]->Add(c);
-      }
-      VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
-                                        net::kAggregationServer,
-                                        encrypted[ai].blob));
-    }
-    env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(c));
-    ChargeFanIn(env.clock, cost_->EncryptedWireBytes(c), a);
-    phase_enc.End();
-
-    PhaseTimer phase_agg(c_phase_agg_, env.clock);
-    for (size_t ai = 0; ai < a; ++ai) {
-      VFPS_ASSIGN_OR_RETURN(auto blob,
-                            env.chan->Recv(static_cast<int>(active[ai]),
-                                           net::kAggregationServer));
-      encrypted[ai] = he::EncryptedVector{std::move(blob), c};
-      ptrs[ai] = &encrypted[ai];
-    }
-    VFPS_ASSIGN_OR_RETURN(auto summed, env.backend->Sum(ptrs));
-    env.clock->Advance(CostCategory::kHeEval,
-                       static_cast<double>(a - 1) * cost_->HeAddSecondsFor(c));
-    VFPS_RETURN_NOT_OK(
-        env.chan->Send(net::kAggregationServer, kLeader, summed.blob));
-    ChargeFanOut(env.clock, cost_->EncryptedWireBytes(c), 1);
-    phase_agg.End();
-
-    PhaseTimer phase_rank(c_phase_rank_, env.clock);
-    VFPS_ASSIGN_OR_RETURN(auto blob,
-                          env.chan->Recv(net::kAggregationServer, kLeader));
-    VFPS_ASSIGN_OR_RETURN(
-        auto agg_distances,
-        env.backend->Decrypt(he::EncryptedVector{std::move(blob), c}));
-    env.clock->Advance(CostCategory::kDecrypt, cost_->DecryptSecondsFor(c));
-    env.clock->Advance(CostCategory::kCompute, cost_->SortSeconds(c));
-    const auto top_local = SmallestK(agg_distances.data(), c, k);
-    phase_rank.End();
-
-    // Shard top-k keyed by pseudo id. SmallestK ties break by candidate
-    // position, which is not monotone in pid, so canonicalize to the merge's
-    // (value, id) order — a divergence only on exact aggregate ties, which
-    // continuous features make vanishingly unlikely.
-    std::vector<std::pair<double, uint64_t>> entries;
-    entries.reserve(top_local.size());
-    for (uint64_t idx : top_local) {
-      entries.emplace_back(agg_distances[idx], cand_pids[idx]);
-    }
-    std::sort(entries.begin(), entries.end());
-    topk::ShardTopk st;
-    st.values.reserve(entries.size());
-    st.ids.reserve(entries.size());
-    for (const auto& [value, pid] : entries) {
-      st.values.push_back(value);
-      st.ids.push_back(pid);
-    }
-    shard_tops.push_back(std::move(st));
-  }
-
-  // Hierarchical merge over the shard top-ks (pseudo-id space).
-  obs::Span span_merge(env.tracer, "knn.topk_merge", env.clock);
-  span_merge.SetNode("leader");
-  PhaseTimer phase_hmerge(c_phase_merge_, env.clock);
-  topk::ShardMergeStats merge_stats;
-  VFPS_ASSIGN_OR_RETURN(auto merged,
-                        topk::HierarchicalTopkMerge(std::move(shard_tops), k,
-                                                    &merge_stats));
-  env.clock->Advance(CostCategory::kCompute,
-                     cost_->SortSeconds(merge_stats.entries_in));
-  if (c_shard_merges_ != nullptr) c_shard_merges_->Add(merge_stats.merges);
-  phase_hmerge.End();
-  span_merge.End();
-
-  QueryNeighborhood hood;
-  hood.query_row = query_row;
-  VFPS_ASSIGN_OR_RETURN(hood.neighbors, pseudo.MapToOriginal(merged.ids));
-
-  // d_T exchange, recomputing each neighbor's partial distance per party
-  // (the shard-local score vectors are gone — O(shard) residency).
-  obs::Span span_dt(env.tracer, "knn.dt_exchange", env.clock);
-  span_dt.SetNode("leader");
-  PhaseTimer phase_dt(c_phase_dt_, env.clock);
-  for (size_t party : active) {
-    if (party == 0) continue;
-    VFPS_RETURN_NOT_OK(
-        env.chan->Send(kLeader, static_cast<int>(party), EncodeIds(merged.ids)));
-  }
-  ChargeFanOut(env.clock, merged.size() * sizeof(uint64_t), a - 1);
-  hood.per_party_dt.assign(p, 0.0);
-  std::vector<double> dt_seconds(a, 0.0);
-  for (size_t ai = 0; ai < a; ++ai) {
-    const size_t party = active[ai];
-    std::vector<uint64_t> pids = merged.ids;
-    if (party != 0) {
-      VFPS_ASSIGN_OR_RETURN(auto payload,
-                            env.chan->Recv(kLeader, static_cast<int>(party)));
-      VFPS_ASSIGN_OR_RETURN(pids, DecodeIds(payload));
-    }
-    const ml::FeatureBlock& block = party_blocks_[party];
-    double dt = 0.0;
-    for (uint64_t pid : pids) {
-      const size_t row = static_cast<size_t>(pseudo.ToOriginal(pid));
-      double d = 0.0;
-      ml::BlockSquaredDistances(block, qslices[ai].data(), qnorms[ai], row,
-                                row + 1, &d);
-      dt += d;
-    }
-    dt_seconds[ai] = cost_->DistanceSeconds(pids.size(), block.cols());
-    if (party == 0) {
-      hood.per_party_dt[0] = dt;
-    } else {
-      VFPS_RETURN_NOT_OK(
-          env.chan->Send(static_cast<int>(party), kLeader, EncodeScalar(dt)));
-      VFPS_ASSIGN_OR_RETURN(auto payload,
-                            env.chan->Recv(static_cast<int>(party), kLeader));
-      VFPS_ASSIGN_OR_RETURN(hood.per_party_dt[party], DecodeScalar(payload));
-    }
-  }
-  ChargeParallelCompute(env.clock, dt_seconds);
-  ChargeFanIn(env.clock, sizeof(double), a - 1);
-  phase_dt.End();
-  span_dt.End();
-
-  if (h_candidates_ != nullptr) h_candidates_->Record(total_candidates);
-  if (stats != nullptr) {
-    stats->candidates_encrypted += total_candidates;
-    stats->fagin_depth += total_depth;
-  }
-  return hood;
-}
-
 Result<std::vector<int>> FederatedKnnOracle::ClassifyPredictions(
     const data::Dataset& queries, const std::vector<size_t>& participants,
     size_t k, bool charge_costs) {
@@ -1913,9 +1206,14 @@ Result<std::vector<int>> FederatedKnnOracle::ClassifyPredictions(
   // order without affecting the predictions.
   std::vector<int> predictions(queries.num_samples());
   const auto classify_one = [&](size_t qi) {
+    thread_local std::vector<double> qslice, partial;  // per-thread scratch
     std::vector<double> aggregate(n, 0.0);
+    partial.resize(n);
     for (size_t party : participants) {
-      const auto partial = PartialDistances(party, queries, qi, n /*no exclusion*/);
+      const ml::FeatureBlock& block = party_blocks_[party];
+      const double q_norm = GatherQuery(block, queries.Row(qi), &qslice);
+      ml::BlockSquaredDistances(block, qslice.data(), q_norm, 0, n,
+                                partial.data());
       for (size_t i = 0; i < n; ++i) aggregate[i] += partial[i];
     }
     const auto top = SmallestK(aggregate, k);

@@ -61,8 +61,10 @@ struct FedKnnConfig {
   /// G*ceil((N-1)/S) — up to floor(S/(N-1))x fewer HE ops when candidate
   /// vectors underfill the slots. 1 (default) keeps the one-query-per-round
   /// protocol bit-identical to previous releases; 0 picks the largest group
-  /// that fits the backend's SlotsPerCiphertext(). Ignored by the Fagin/TA
-  /// modes (their candidate sets are query-specific).
+  /// whose per-shard packed vector fits one of the backend's
+  /// SlotsPerCiphertext(). Composes with `shards` (each shard's round packs
+  /// the group's rows of that shard) and with the repair cache. Ignored by
+  /// the Fagin/TA modes (their candidate sets are query-specific).
   size_t query_group = 1;
   /// Participants excluded from the protocol (crashed on a previous run and
   /// quarantined by the selector). The leader (0) can never be quarantined;
@@ -89,14 +91,17 @@ struct FedKnnConfig {
   double net_jitter = 0.0;
   /// Row shards per party: every party's FeatureBlock is cut into this many
   /// contiguous row ranges (data::MakeRowShards), each held by a simulated
-  /// storage node. The per-query protocol then runs shard by shard — range
+  /// storage node. The per-query protocol runs shard by shard — range
   /// distance kernels, per-shard encrypted aggregation, shard-local SmallestK
   /// — and the leader combines shard results with the hierarchical top-k
   /// merge (topk::HierarchicalTopkMerge), so per-query resident protocol
-  /// state is O(shard), not O(N). 1 (default) keeps the single-node protocol
-  /// bit-identical to previous releases; sharded runs produce the same
-  /// neighborhoods and d_T values as shards=1 (exact-HE paths bit-identical;
-  /// traffic/clock naturally differ). Exposed as --shards on the CLI.
+  /// state is O(shard + shards·k), not O(N). 1 (default) is the single-node
+  /// protocol (a one-shard plan: no merge stage); sharded runs produce the
+  /// same neighborhoods and d_T values as shards=1 (exact-HE paths
+  /// bit-identical; traffic/clock naturally differ). Composes with
+  /// `query_group` and with the repair cache; a cache attached to a sharded
+  /// run keeps O(N·P) repair state per unit, like an unsharded one. Exposed
+  /// as --shards on the CLI.
   size_t shards = 1;
   /// TreeCSS-style clustering pre-filter: 0 (default) = off. Otherwise each
   /// party clusters its local columns into this many k-means clusters once
@@ -106,8 +111,10 @@ struct FedKnnConfig {
   /// neighbor every party's nomination missed is lost — which is the
   /// TreeCSS trade: prune before expensive per-sample work. Nominations
   /// reveal candidate row ids (BASE) / pseudo ids (top-k modes) to the
-  /// server, like the Fagin candidate exchange. Exposed as
-  /// --prefilter=treecss:<clusters> on the CLI.
+  /// server, like the Fagin candidate exchange. Pre-filtered runs bypass the
+  /// repair cache: the nominated set is a union over the active parties, so
+  /// it changes with membership and cached per-party values would no longer
+  /// line up with it. Exposed as --prefilter=treecss:<clusters> on the CLI.
   size_t prefilter_clusters = 0;
 };
 
@@ -161,15 +168,24 @@ struct FedKnnStats {
 /// charged phase by phase with participant-parallel phases costed as the max
 /// over participants.
 ///
+/// One engine: every run is a row-shard plan (one shard when unsharded) and
+/// every task unit is a group of queries (one query unless BASE slot
+/// batching groups them). A unit walks the plan shard by shard; each shard
+/// pass runs the per-party partial-distance step, the Fagin/TA narrowing
+/// (top-k modes) and one encrypted aggregation round (encrypt, fan-in, Sum,
+/// forward, decrypt and rank); with more than one shard the leader merges
+/// the shard top-ks; one d_T exchange closes the unit. Each of those steps
+/// owns its span, phase timer and clock charge, so sharded and unsharded
+/// runs explain themselves the same way (sharded phases nest under
+/// `knn.shard`).
+///
 /// Threading model: when a ThreadPool is supplied, Run() executes each
-/// query's complete protocol (Fagin/TA phase-1 merge, partial-distance
-/// computation, encryption, aggregation, leader decrypt+rank) as an
-/// independent task. Every task operates on task-local state — its own
-/// SimNetwork, its own SimClock, and its own HeBackend session obtained via
-/// HeBackend::Fork() with a per-query stream seed pre-derived from
-/// FedKnnConfig::seed in query order. After all tasks complete, the results,
-/// traffic meters, clock charges, and HE counters are folded back into the
-/// shared deployment state *in query order*, so:
+/// unit's complete protocol as an independent task. Every task operates on
+/// task-local state — its own SimNetwork, its own SimClock, and its own
+/// HeBackend session obtained via HeBackend::Fork() with a per-unit stream
+/// seed pre-derived from FedKnnConfig::seed in query order. After all tasks
+/// complete, the results, traffic meters, clock charges, and HE counters are
+/// folded back into the shared deployment state *in query order*, so:
 ///
 ///   Determinism guarantee: a Run() with any thread count (including the
 ///   serial path, which executes the very same per-query tasks inline)
@@ -190,20 +206,22 @@ struct FedKnnStats {
 /// survivors.
 ///
 /// Incremental repair: with a SelectionCache attached (set_cache), every
-/// unit records each active party's contribution (partial-distance vectors,
-/// sub-rankings, server-held ciphertexts) into the cache — on success AND on
-/// failure (whatever completed before the fault is salvaged; contents are
-/// thread-count-invariant because every unit runs to its own end and is
-/// internally deterministic). A later Run() with a changed membership but
-/// the same protocol shape reuses cached contributions: surviving parties
-/// skip distance work, encryption, ciphertext uploads, and already-streamed
-/// ranking rows; only newcomers compute from scratch, and only the
-/// membership-dependent aggregation (sums, merges, candidate exchange) is
-/// redone. On the exact (plain) HE path, a repaired run's outputs are
-/// bit-identical to a clean run over the same membership; on CKKS the
-/// cached ciphertexts carry their original encryption randomness, so
-/// results match within the backend's noise tolerance. Simulated-clock
-/// charges reflect the work actually done, so repair is visibly cheaper.
+/// unit records each active party's per-shard contribution (partial-distance
+/// vectors, sub-rankings, server-held ciphertexts) into the cache — on
+/// success AND on failure (whatever completed before the fault is salvaged;
+/// contents are thread-count-invariant because every unit runs to its own
+/// end and is internally deterministic). A later Run() with a changed
+/// membership but the same protocol shape reuses cached contributions:
+/// surviving parties skip distance work, encryption, ciphertext uploads, and
+/// already-streamed ranking rows; only newcomers compute from scratch, and
+/// only the membership-dependent aggregation (sums, merges, candidate
+/// exchange) is redone. Pre-filtered runs bypass the cache (see
+/// FedKnnConfig::prefilter_clusters). On the exact (plain) HE path, a
+/// repaired run's outputs are bit-identical to a clean run over the same
+/// membership; on CKKS the cached ciphertexts carry their original
+/// encryption randomness, so results match within the backend's noise
+/// tolerance. Simulated-clock charges reflect the work actually done, so
+/// repair is visibly cheaper.
 ///
 /// Thread-safety: one FederatedKnnOracle must only be driven from one thread
 /// at a time (Run/ClassifyAccuracy/ClassifyPredictions are not reentrant);
@@ -276,26 +294,28 @@ class FederatedKnnOracle {
       size_t k, bool charge_costs);
 
  private:
-  /// Run-scoped state of the sharded protocol path, built once per Run()
-  /// (serially, before any query task spawns) and shared read-only by every
-  /// task. Present only when config.shards > 1 or the pre-filter is on; the
-  /// pristine single-node path never sees it.
+  /// Run-scoped shard plan, built once per Run() (serially, before any unit
+  /// task spawns) and shared read-only by every task. An unsharded run is a
+  /// one-shard plan.
   struct ShardRuntime {
     std::vector<data::RowShard> plan;  // contiguous row ranges covering N
+    /// Top-k modes: each shard's rows in pseudo-id order, the item order of
+    /// the shard's ranked lists (item i of a one-shard plan is pseudo id i).
+    std::vector<std::vector<uint64_t>> ranked_rows;
     /// Per-party k-means models, indexed by participant id (only active
     /// parties filled). nullptr when the pre-filter is off. Owned by Run().
     const std::vector<ml::KMeansResult>* prefilter = nullptr;
     size_t prefilter_target = 0;  // rows each party's nomination must cover
     /// knn.shard.sim_ns{shard=S} / knn.shard.candidates{shard=S}, indexed by
-    /// shard; empty when metrics are off. The labeled-counter registry caps
-    /// series cardinality, so very wide shard plans fold into its overflow
-    /// label rather than exploding the registry.
+    /// shard; empty for a one-shard plan or when metrics are off. The
+    /// labeled-counter registry caps series cardinality, so very wide shard
+    /// plans fold into its overflow label rather than exploding the registry.
     std::vector<obs::Counter*> sim_ns;
     std::vector<obs::Counter*> candidates;
   };
 
-  /// Task-local deployment view for one query: its own HE session, metered
-  /// transport, reliable channel, and clock, so query tasks never contend
+  /// Task-local deployment view for one unit: its own HE session, metered
+  /// transport, reliable channel, and clock, so unit tasks never contend
   /// (merged afterwards). `active` lists the non-quarantined participants in
   /// ascending order (always starting with the leader, 0).
   struct QueryEnv {
@@ -305,68 +325,87 @@ class FederatedKnnOracle {
     SimClock* clock;
     const std::vector<size_t>* active;
     obs::Tracer* tracer;  // nullptr unless tracing is enabled
+    const FedKnnConfig* config;
+    const ShardRuntime* shards;
+    const PseudoIdMap* pseudo;  // the top-k modes' consortium shuffle
     /// Prior contributions for this unit (read-only; nullptr = cold) and the
     /// task-local staging area fresh contributions are recorded into
     /// (nullptr = caching disabled). See SelectionCache.
     const CachedUnit* cached = nullptr;
     CachedUnit* fresh = nullptr;
-    /// Sharded-path runtime; nullptr keeps the pristine single-node path.
-    const ShardRuntime* shard = nullptr;
   };
 
-  // Partial squared distances from participant `p`'s slice of `query_row`
-  // (in `source`) to every train row except `exclude_row` (pass
-  // num_samples() to keep all rows). Output indexed by compressed row index.
-  std::vector<double> PartialDistances(size_t participant,
-                                       const data::Dataset& source,
-                                       size_t query_row,
-                                       size_t exclude_row) const;
+  /// One query's items within one shard: the rows that pay distance and HE
+  /// work, in the order the protocol ranks them — ascending rows without the
+  /// query (BASE), or pseudo-id order with the query's own row kept as a +inf
+  /// item (top-k modes, so a one-shard plan is exactly the pseudo-id space).
+  struct Slice {
+    uint64_t query_row = 0;
+    std::vector<uint64_t> rows;
+  };
 
-  // Compressed index <-> original row id around an excluded row.
-  static uint64_t CompressedToRow(uint64_t idx, size_t excluded) {
-    return idx < excluded ? idx : idx + 1;
-  }
+  /// Per-party output of the partial-distance step over one shard's slices
+  /// (caller-owned, refilled per shard). Indexed by position in `active`.
+  struct PartyPartials {
+    std::vector<std::vector<double>> values;    // slices concatenated
+    std::vector<std::vector<uint64_t>> orders;  // top-k: sub-ranking of values
+    std::vector<const PartyUnitState*> hits;    // reused cache entry or null
+    std::vector<size_t> prior_depth;  // top-k: rows the server already has
+  };
 
-  Result<QueryNeighborhood> RunBaseQuery(const QueryEnv& env,
-                                         uint64_t query_row, size_t k,
-                                         FedKnnStats* stats) const;
-  // Slot-batched BASE protocol over queries[lo, hi): one packed encrypt per
-  // party, one slot-wise aggregation, one decrypt for the whole group (see
-  // FedKnnConfig::query_group). Returns the hi-lo neighborhoods in query
-  // order. Equivalent to running RunBaseQuery per query up to the HE
-  // randomness schedule (plaintext-identical results; CKKS within tolerance).
-  Result<std::vector<QueryNeighborhood>> RunBaseQueryGroup(
-      const QueryEnv& env, const std::vector<size_t>& queries, size_t lo,
-      size_t hi, size_t k, FedKnnStats* stats) const;
-  // Shared implementation of the Fagin and Threshold oracle modes (they
-  // differ in the phase-1 merge algorithm and TA's per-round threshold
-  // exchange). `pseudo` is the consortium-shared shuffle, built once per Run.
-  Result<QueryNeighborhood> RunTopkQuery(const QueryEnv& env,
-                                         const PseudoIdMap& pseudo,
-                                         uint64_t query_row, size_t k,
-                                         size_t batch, KnnOracleMode mode,
-                                         FedKnnStats* stats) const;
-  // Sharded BASE protocol: per shard, range-kernel partials over the shard's
-  // rows (candidates only, when a pre-filter nomination is present), a
-  // per-shard encrypted aggregation round, shard-local SmallestK, then the
-  // hierarchical top-k merge. d_T comes from single-row kernel recomputes of
-  // the merged neighbors, so the values are bit-identical to RunBaseQuery's
-  // (each row's distance is independent of the [begin, end) split).
-  Result<QueryNeighborhood> RunBaseQuerySharded(const QueryEnv& env,
-                                                uint64_t query_row, size_t k,
-                                                FedKnnStats* stats) const;
-  // Sharded Fagin/TA: each shard runs the complete phase-1 merge + candidate
-  // encryption over its own rows (mini-batches stream per shard, so resident
-  // ranking state is O(shard·P), not O(N·P)), then shard top-ks merge
-  // hierarchically. Per-shard Fagin/TA is exact within its shard, so the
-  // merged result equals the global one whenever aggregate distances are
-  // tie-free (always, in practice, on continuous features).
-  Result<QueryNeighborhood> RunTopkQuerySharded(const QueryEnv& env,
-                                                const PseudoIdMap& pseudo,
-                                                uint64_t query_row, size_t k,
-                                                size_t batch,
-                                                KnnOracleMode mode,
-                                                FedKnnStats* stats) const;
+  /// One encrypted aggregation round: parties without a server-held
+  /// ciphertext encrypt and upload, the server sums and forwards, the leader
+  /// decrypts and ranks each segment (one per query) of the sum.
+  struct Round {
+    const std::vector<uint64_t>* announce = nullptr;  // ids broadcast first
+    std::vector<size_t> segments;                    // lengths of segments
+    std::vector<double> aggregate;                   // out: decrypted sums
+    std::vector<std::vector<uint64_t>> top;          // out: SmallestK per seg
+  };
+
+  /// A shard top-k entry, carried to the leader's merge and the d_T exchange.
+  struct Nominee {
+    double value = 0.0;  // aggregate distance
+    uint64_t id = 0;     // wire id: compressed index (BASE) or pseudo id
+    uint64_t row = 0;    // original row
+    std::vector<double> partials;  // each active party's partial distance
+  };
+
+  // The protocol of one unit: queries[0, g) over every shard of the plan.
+  Result<std::vector<QueryNeighborhood>> RunUnit(const QueryEnv& env,
+                                                 const size_t* queries,
+                                                 size_t g,
+                                                 FedKnnStats* stats) const;
+  // Fills `slice` with the query's items in `shard` (its nominated rows when
+  // the pre-filter is on); returns how many of them are not the query row.
+  size_t BuildSlice(const QueryEnv& env, size_t shard, uint64_t query_row,
+                    const std::vector<uint64_t>* nominated,
+                    Slice* slice) const;
+  // Per-party partial distances of one shard pass (plus the sub-ranking sort
+  // in the top-k modes), reusing the unit's cached (shard, party)
+  // contributions where they are valid.
+  void ComputePartials(const QueryEnv& env, size_t shard,
+                       const std::vector<Slice>& slices, PartyPartials* out,
+                       FedKnnStats* stats) const;
+  // Fagin/TA over one shard's sub-rankings with mini-batch streaming to the
+  // server; shrinks `slice` and `partials` to the candidate set (query item
+  // removed) and adds the phase-1 depth to `depth`.
+  Status NarrowCandidates(const QueryEnv& env, size_t shard, Slice* slice,
+                          PartyPartials* partials, uint64_t* depth) const;
+  // `values[ai]` is what party ai encrypts; `held[ai]`, when present, is a
+  // ciphertext the server kept from an earlier run (the party then stays
+  // silent). Rounds that pass `held` are cacheable: their fresh uploads are
+  // staged under (shard, party).
+  Status AggregationRound(const QueryEnv& env, size_t shard,
+                          const std::vector<std::vector<double>>& values,
+                          const std::vector<const PartyUnitState*>& held,
+                          Round* round) const;
+  // Fills the neighborhoods of queries[0, g): the leader broadcasts each
+  // query's neighbors, every active party returns d_T^p, the sum of its
+  // partial distances to them.
+  Status ExchangeDt(const QueryEnv& env, const size_t* queries,
+                    const std::vector<std::vector<Nominee>>& winners,
+                    std::vector<QueryNeighborhood>* hoods) const;
   // TreeCSS-style candidate nomination: each active party ranks its clusters
   // by centroid distance to its query slice and nominates the nearest
   // clusters' rows until ShardRuntime::prefilter_target rows are covered; the
@@ -384,24 +423,6 @@ class FederatedKnnOracle {
                    size_t parties) const;
   void ChargeFanOut(SimClock* clock, uint64_t bytes_per_link,
                     size_t links) const;
-
-  /// Charge one protocol phase's simulated time to its labeled counter
-  /// (`knn.phase.sim_ns{phase=...}`). Durations are deterministic simulated
-  /// seconds rounded to integer ns, so the labeled totals stay bit-identical
-  /// at any thread count.
-  class PhaseTimer {
-   public:
-    PhaseTimer(obs::Counter* counter, const SimClock* clock);
-    ~PhaseTimer() { End(); }
-    PhaseTimer(const PhaseTimer&) = delete;
-    PhaseTimer& operator=(const PhaseTimer&) = delete;
-    void End();
-
-   private:
-    obs::Counter* counter_;
-    const SimClock* clock_;
-    double start_seconds_ = 0.0;
-  };
 
   const data::Dataset* joint_;
   const data::VerticalPartition* partition_;

@@ -15,8 +15,8 @@ void SelectionCache::Rekey(const Key& key) {
 void SelectionCache::Absorb(size_t u, CachedUnit&& produced) {
   if (u >= units_.size()) return;
   CachedUnit& unit = units_[u];
-  for (auto& [party, state] : produced.parties) {
-    PartyUnitState& dst = unit.parties[party];
+  for (auto& [key, state] : produced.entries) {
+    PartyUnitState& dst = unit.entries[key];
     if (!state.values.empty()) {
       dst = std::move(state);
     } else {
@@ -29,12 +29,6 @@ void SelectionCache::Clear() {
   bound_ = false;
   key_ = Key{};
   units_.clear();
-}
-
-size_t SelectionCache::CachedContributions() const {
-  size_t n = 0;
-  for (const CachedUnit& unit : units_) n += unit.parties.size();
-  return n;
 }
 
 }  // namespace vfps::vfl

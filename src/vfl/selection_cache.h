@@ -4,14 +4,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "he/backend.h"
 
 namespace vfps::vfl {
 
-/// \brief One participant's cached contribution to one protocol unit (a
-/// query, or a slot-batched group of queries).
+/// \brief One participant's cached contribution to one shard of one protocol
+/// unit (a query, or a slot-batched group of queries).
 ///
 /// Privacy framing: `values` (and `order`) are the party's OWN plaintext
 /// partial distances — in a real deployment each party would hold its slice
@@ -21,13 +22,14 @@ namespace vfps::vfl {
 /// ever sees decrypted aggregates, so the cache does not change who learns
 /// what — it only remembers it across membership changes.
 struct PartyUnitState {
-  /// BASE modes: the packed partial-distance vector this party encrypted
-  /// (count values per query, group-concatenated). Top-k modes: the party's
-  /// full n-sized score vector in pseudo-ID space (+inf at the query's own
-  /// pseudo id).
+  /// BASE modes: the packed partial-distance vector this party encrypted for
+  /// the shard (the shard's rows of each query, group-concatenated). Top-k
+  /// modes: the party's score vector over the shard's rows in pseudo-ID
+  /// order (+inf at the query's own row).
   std::vector<double> values;
-  /// Top-k modes: the party's sub-ranking (pseudo ids sorted ascending by
-  /// score, ties by id) — caching it skips the O(n log n) re-sort on repair.
+  /// Top-k modes: the party's sub-ranking (item indices sorted ascending by
+  /// score, ties by index) — caching it skips the O(n log n) re-sort on
+  /// repair.
   std::vector<uint64_t> order;
   /// BASE modes: the ciphertext of `values` as held by the aggregation
   /// server. On repair the server re-sums cached ciphertexts instead of
@@ -39,9 +41,11 @@ struct PartyUnitState {
   size_t streamed_depth = 0;
 };
 
-/// \brief Contributions cached for one protocol unit, keyed by participant.
+/// \brief Contributions cached for one protocol unit, keyed by (shard,
+/// participant). A sharded unit therefore keeps one entry per shard and
+/// party — O(N·P) values per unit in total, as an unsharded one does.
 struct CachedUnit {
-  std::map<size_t, PartyUnitState> parties;
+  std::map<std::pair<size_t, size_t>, PartyUnitState> entries;
 };
 
 /// \brief Participant-keyed contribution cache that survives membership
@@ -74,10 +78,9 @@ class SelectionCache {
     size_t group = 1;
     size_t n_rows = 0;
     size_t num_units = 0;
-    /// Shard layout of the run. Sharded runs never stage contributions (the
-    /// per-shard rounds rebuild from scratch), but the fields still guard the
-    /// shape: a cache carried across a --shards/--prefilter change is cleared
-    /// instead of leaking single-node contributions into a sharded repair.
+    /// Shard layout of the run: entries are per (shard, party), so a cache
+    /// carried across a --shards/--prefilter change is cleared instead of
+    /// reusing entries cut for another layout.
     size_t shards = 1;
     size_t prefilter_clusters = 0;
 
@@ -108,9 +111,6 @@ class SelectionCache {
   void Clear();
   bool bound() const { return bound_; }
   size_t num_units() const { return units_.size(); }
-
-  /// Total party-unit entries currently cached (for metrics).
-  size_t CachedContributions() const;
 
  private:
   Key key_;

@@ -13,7 +13,8 @@
 //   4. Differential repair: for seeded leave/crash/partition/join/heal
 //      schedules, the churn-tolerant selection equals a from-scratch run with
 //      the final membership preset — bit-identical on the plain backend, at
-//      1, 2, and 8 threads. VFPS_CHURN_SEEDS widens the seed sweep (CI runs
+//      1, 2, and 8 threads, unsharded and on 4 row shards. A pre-filtered
+//      run reuses nothing. VFPS_CHURN_SEEDS widens the seed sweep (CI runs
 //      16).
 //   5. Checkpoints round-trip bit-exactly, reject corruption and mismatched
 //      run shapes, and a resumed selection (same, larger, or truncated
@@ -352,46 +353,72 @@ TEST(ChurnDifferentialTest, RepairEqualsRerunOverFinalMembership) {
   };
   const size_t seeds = ChurnSeedCount();
 
-  for (const Case& c : kCases) {
-    auto spec = net::ParseFaultSpec(c.schedule);
-    ASSERT_TRUE(spec.ok()) << c.schedule << ": " << spec.status().ToString();
-    for (uint64_t seed = 1; seed <= seeds; ++seed) {
-      // Baseline at one thread; the thread loop checks both the differential
-      // and thread invariance against it.
-      auto churned1 = RunSelection(&*spec, seed, 1);
-      ASSERT_TRUE(churned1.ok()) << c.schedule << " seed=" << seed << ": "
-                                 << churned1.status().ToString();
-      EXPECT_EQ(churned1->selection.quarantined, c.quarantined)
-          << c.schedule << " seed=" << seed;
+  // Each schedule runs on the one-shard oracle and on a 4-shard one: repair
+  // reuses per-(shard, party) contributions the same way.
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    vfl::FedKnnConfig layout;
+    layout.shards = shards;
+    for (const Case& c : kCases) {
+      auto spec = net::ParseFaultSpec(c.schedule);
+      ASSERT_TRUE(spec.ok()) << c.schedule << ": " << spec.status().ToString();
+      for (uint64_t seed = 1; seed <= seeds; ++seed) {
+        // Baseline at one thread; the thread loop checks both the differential
+        // and thread invariance against it.
+        auto churned1 = RunSelection(&*spec, seed, 1, &layout);
+        ASSERT_TRUE(churned1.ok()) << c.schedule << " seed=" << seed
+                                   << " shards=" << shards << ": "
+                                   << churned1.status().ToString();
+        EXPECT_EQ(churned1->selection.quarantined, c.quarantined)
+            << c.schedule << " seed=" << seed << " shards=" << shards;
 
-      // From-scratch reference: fault-free network, final membership preset.
-      vfl::FedKnnConfig preset;
-      preset.quarantined = churned1->selection.quarantined;
-      preset.absent = churned1->selection.absent;
-      auto reference = RunSelection(nullptr, 0, 1, &preset);
-      ASSERT_TRUE(reference.ok()) << c.schedule << " seed=" << seed << ": "
-                                  << reference.status().ToString();
-      EXPECT_EQ(churned1->selection.selected, reference->selection.selected)
-          << c.schedule << " seed=" << seed;
-      EXPECT_EQ(churned1->selection.scores, reference->selection.scores)
-          << c.schedule << " seed=" << seed;
+        // From-scratch reference: fault-free network, final membership preset.
+        vfl::FedKnnConfig preset = layout;
+        preset.quarantined = churned1->selection.quarantined;
+        preset.absent = churned1->selection.absent;
+        auto reference = RunSelection(nullptr, 0, 1, &preset);
+        ASSERT_TRUE(reference.ok()) << c.schedule << " seed=" << seed << ": "
+                                    << reference.status().ToString();
+        EXPECT_EQ(churned1->selection.selected, reference->selection.selected)
+            << c.schedule << " seed=" << seed << " shards=" << shards;
+        EXPECT_EQ(churned1->selection.scores, reference->selection.scores)
+            << c.schedule << " seed=" << seed << " shards=" << shards;
 
-      for (size_t threads : kThreadCounts) {
-        if (threads == 1) continue;  // the baseline above
-        auto churned = RunSelection(&*spec, seed, threads);
-        ASSERT_TRUE(churned.ok()) << c.schedule << " seed=" << seed
-                                  << " threads=" << threads << ": "
-                                  << churned.status().ToString();
-        EXPECT_EQ(churned->selection.selected, churned1->selection.selected)
-            << c.schedule << " seed=" << seed << " threads=" << threads;
-        EXPECT_EQ(churned->selection.scores, churned1->selection.scores)
-            << c.schedule << " seed=" << seed << " threads=" << threads;
-        EXPECT_EQ(churned->selection.quarantined,
-                  churned1->selection.quarantined)
-            << c.schedule << " seed=" << seed << " threads=" << threads;
+        for (size_t threads : kThreadCounts) {
+          if (threads == 1) continue;  // the baseline above
+          auto churned = RunSelection(&*spec, seed, threads, &layout);
+          ASSERT_TRUE(churned.ok()) << c.schedule << " seed=" << seed
+                                    << " threads=" << threads << ": "
+                                    << churned.status().ToString();
+          EXPECT_EQ(churned->selection.selected, churned1->selection.selected)
+              << c.schedule << " seed=" << seed << " threads=" << threads;
+          EXPECT_EQ(churned->selection.scores, churned1->selection.scores)
+              << c.schedule << " seed=" << seed << " threads=" << threads;
+          EXPECT_EQ(churned->selection.quarantined,
+                    churned1->selection.quarantined)
+              << c.schedule << " seed=" << seed << " threads=" << threads;
+        }
       }
     }
   }
+}
+
+TEST(ChurnDifferentialTest, PrefilteredRepairReusesNothing) {
+  // The pre-filter nominates a union over the active parties, so its
+  // candidate set moves with membership: pre-filtered runs bypass the cache
+  // and a repair recomputes every party's contribution.
+  auto spec = net::ParseFaultSpec("leave=3@2");
+  ASSERT_TRUE(spec.ok());
+  vfl::FedKnnConfig preset;
+  preset.prefilter_clusters = 8;
+  auto filtered = RunSelection(&*spec, 1, 1, &preset);
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  EXPECT_EQ(filtered->selection.quarantined, std::vector<size_t>{3});
+  EXPECT_EQ(filtered->selection.knn_stats.reused_contributions, 0u);
+  // The same repair without the pre-filter does reuse the survivors' work.
+  auto unfiltered = RunSelection(&*spec, 1, 1);
+  ASSERT_TRUE(unfiltered.ok()) << unfiltered.status().ToString();
+  EXPECT_EQ(unfiltered->selection.quarantined, std::vector<size_t>{3});
+  EXPECT_GT(unfiltered->selection.knn_stats.reused_contributions, 0u);
 }
 
 TEST(ChurnDifferentialTest, JoinSpliceReportsTheNewcomer) {

@@ -1,7 +1,8 @@
 // Sharded-oracle and out-of-core engine contracts:
 //  * --shards=1 vs --shards=S oracle runs are byte-identical (neighbors AND
 //    per-party d_T, exact ==) for BASE and FAGIN, at every thread count —
-//    sharding is a memory/topology knob, never a results knob;
+//    sharding is a memory/topology knob, never a results knob — and BASE
+//    query groups compose with shards;
 //  * the streaming engine's output is invariant to the shard count and
 //    agrees with a brute-force scan of the equivalent in-memory dataset;
 //  * the TreeCSS pre-filter with one cluster nominates everything and thus
@@ -57,7 +58,8 @@ struct Deployment {
 std::vector<vfl::QueryNeighborhood> RunOracle(vfl::KnnOracleMode mode,
                                               size_t shards, size_t threads,
                                               size_t prefilter = 0,
-                                              vfl::FedKnnStats* stats = nullptr) {
+                                              vfl::FedKnnStats* stats = nullptr,
+                                              size_t query_group = 1) {
   Deployment d = Deployment::Make();
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
@@ -70,6 +72,7 @@ std::vector<vfl::QueryNeighborhood> RunOracle(vfl::KnnOracleMode mode,
   config.seed = 77;
   config.shards = shards;
   config.prefilter_clusters = prefilter;
+  config.query_group = query_group;
   auto result = oracle.Run(config, stats);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.MoveValueUnsafe();
@@ -154,16 +157,27 @@ TEST(ShardedOracleTest, PrefilterPrunesRowsButKeepsPlausibleNeighbors) {
   EXPECT_GE(hits * 2, total);
 }
 
-TEST(ShardedOracleTest, QueryGroupBatchingRejectedWhenSharded) {
+TEST(ShardedOracleTest, QueryGroupsComposeWithShards) {
+  // Grouped x sharded BASE packs each group's rows of a shard into one round
+  // and must find exactly the ungrouped unsharded neighborhoods and d_T.
+  const auto pristine = RunOracle(vfl::KnnOracleMode::kBase, 1, 1);
+  for (size_t threads : {1, 2, 8}) {
+    for (size_t group : {0, 5}) {
+      ExpectIdentical(pristine,
+                      RunOracle(vfl::KnnOracleMode::kBase, 4, threads, 0,
+                                nullptr, group),
+                      "grouped-sharded");
+    }
+  }
+  // The top-k modes ignore query_group, sharded or not.
+  ExpectIdentical(RunOracle(vfl::KnnOracleMode::kFagin, 1, 1),
+                  RunOracle(vfl::KnnOracleMode::kFagin, 4, 1, 0, nullptr, 0),
+                  "fagin-group0");
+
   Deployment d = Deployment::Make();
   vfl::FederatedKnnOracle oracle(&d.train, &d.partition, d.backend.get(),
                                  &d.network, &d.cost, &d.clock);
   vfl::FedKnnConfig config;
-  config.mode = vfl::KnnOracleMode::kBase;
-  config.shards = 2;
-  config.query_group = 2;
-  EXPECT_FALSE(oracle.Run(config, nullptr).ok());
-  config.query_group = 1;
   config.shards = 0;
   EXPECT_FALSE(oracle.Run(config, nullptr).ok());
 }

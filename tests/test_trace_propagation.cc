@@ -11,10 +11,11 @@
 //      recovery work stays attached to the query that paid for it.
 //   3. No fault fate may orphan a span (nonzero parent that resolves to no
 //      recorded event) or double-link one (duplicate span ids).
-//   4. End-to-end: a faulted VFPS-SM selection at 1 and 4 threads produces
-//      per-query knn.query spans that all share one parent, a fully
-//      resolvable parent graph, and labeled counter totals that are
-//      bit-identical across thread counts.
+//   4. End-to-end: a faulted VFPS-SM selection at 1 and 4 threads, on one
+//      shard and on four, produces per-query knn.query spans that all share
+//      one parent, a fully resolvable parent graph, the protocol's phase
+//      spans (nested under knn.shard when sharded), and labeled counter
+//      totals that are bit-identical across thread counts.
 //
 // Zero-fault and metrics-layer trace units live in test_obs.cc; fault
 // *semantics* (what drops when) live in test_chaos.cc.
@@ -303,7 +304,8 @@ struct Deployment {
 
 Result<core::SelectionOutcome> RunTracedSelection(const net::FaultSpec* spec,
                                                   size_t threads,
-                                                  obs::MetricsRegistry* obs) {
+                                                  obs::MetricsRegistry* obs,
+                                                  size_t shards = 1) {
   Deployment d = Deployment::Make();
   if (spec != nullptr) d.network.EnableFaults(*spec, 1234, &d.clock);
   d.network.set_metrics(obs);
@@ -320,6 +322,7 @@ Result<core::SelectionOutcome> RunTracedSelection(const net::FaultSpec* spec,
   ctx.obs = obs;
   ctx.knn.k = 6;
   ctx.knn.num_queries = 16;
+  ctx.knn.shards = shards;
   ctx.seed = 11;
   core::VfpsSmSelector selector(vfl::KnnOracleMode::kFagin);
   return selector.Select(ctx, 2);
@@ -330,49 +333,77 @@ TEST(EndToEndPropagationTest, FaultedSelectionYieldsOneTreePerQuery) {
       "drop=0.05,dup=0.02,corrupt=0.03,delay=0.1:0.01");
   ASSERT_TRUE(spec.ok());
 
-  std::vector<std::pair<std::string, uint64_t>> baseline_counters;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    obs::MetricsRegistry reg;
-    reg.EnableTracing();
-    auto outcome = RunTracedSelection(&*spec, threads, &reg);
-    ASSERT_TRUE(outcome.ok())
-        << "threads=" << threads << ": " << outcome.status().ToString();
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    std::vector<std::pair<std::string, uint64_t>> baseline_counters;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      const std::string label = "shards=" + std::to_string(shards) +
+                                " threads=" + std::to_string(threads);
+      obs::MetricsRegistry reg;
+      reg.EnableTracing();
+      auto outcome = RunTracedSelection(&*spec, threads, &reg, shards);
+      ASSERT_TRUE(outcome.ok())
+          << label << ": " << outcome.status().ToString();
 
-    const auto events = reg.tracer()->Snapshot();
-    CheckWellFormed(events);
+      const auto events = reg.tracer()->Snapshot();
+      CheckWellFormed(events);
 
-    // Every per-query root shares ONE parent (the selection-phase span that
-    // fanned them out), regardless of which worker thread ran the query.
-    std::set<uint64_t> query_parents;
-    std::set<uint64_t> query_traces;
-    size_t query_spans = 0;
-    for (const auto& e : events) {
-      if (e.name != "knn.query") continue;
-      ++query_spans;
-      EXPECT_NE(e.parent_span_id, 0u) << "a knn.query span must never be "
-                                         "an orphan root";
-      query_parents.insert(e.parent_span_id);
-      query_traces.insert(e.trace_id);
-    }
-    EXPECT_GT(query_spans, 0u) << "threads=" << threads;
-    EXPECT_EQ(query_parents.size(), 1u)
-        << "threads=" << threads
-        << ": all queries must hang off the same fan-out span";
-    EXPECT_EQ(query_traces.size(), 1u)
-        << "threads=" << threads << ": one selection run, one trace";
+      // Every per-query root shares ONE parent (the selection-phase span that
+      // fanned them out), regardless of which worker thread ran the query.
+      std::set<uint64_t> query_parents;
+      std::set<uint64_t> query_traces;
+      size_t query_spans = 0;
+      // Sharded or not, a run explains itself with the same phase spans; a
+      // sharded run nests them under its knn.shard spans.
+      std::set<uint64_t> shard_spans;
+      for (const auto& e : events) {
+        if (e.name == "knn.shard") shard_spans.insert(e.span_id);
+        if (e.name != "knn.query") continue;
+        ++query_spans;
+        EXPECT_NE(e.parent_span_id, 0u) << "a knn.query span must never be "
+                                           "an orphan root";
+        query_parents.insert(e.parent_span_id);
+        query_traces.insert(e.trace_id);
+      }
+      EXPECT_GT(query_spans, 0u) << label;
+      EXPECT_EQ(query_parents.size(), 1u)
+          << label << ": all queries must hang off the same fan-out span";
+      EXPECT_EQ(query_traces.size(), 1u)
+          << label << ": one selection run, one trace";
+      EXPECT_EQ(shard_spans.empty(), shards == 1) << label;
+      for (const char* phase :
+           {"knn.partial_distance", "knn.topk_merge", "knn.stream_rankings",
+            "he.encrypt", "knn.aggregate", "knn.decrypt_rank"}) {
+        size_t spans = 0, under_shard = 0;
+        for (const auto& e : events) {
+          if (e.name != phase) continue;
+          ++spans;
+          under_shard += shard_spans.count(e.parent_span_id);
+        }
+        EXPECT_GT(spans, 0u) << label << " " << phase;
+        if (shards > 1 && std::string(phase) != "knn.topk_merge") {
+          EXPECT_EQ(under_shard, spans) << label << " " << phase;
+        }
+      }
 
-    // Labeled and plain counter totals are thread-count invariant even with
-    // tracing on and faults firing. (Gauges and wall-time histograms are
-    // deliberately outside this comparison.)
-    auto counters = reg.CounterEntries();
-    if (baseline_counters.empty()) {
-      baseline_counters = std::move(counters);
-      EXPECT_GT(reg.CounterValue("knn.queries.by_algo", {{"algo", "fagin"}}),
-                0u);
-    } else {
-      EXPECT_EQ(counters, baseline_counters)
-          << "threads=" << threads
-          << ": counter totals must not depend on thread count";
+      // Labeled and plain counter totals are thread-count invariant even
+      // with tracing on and faults firing. (Gauges and wall-time histograms
+      // are deliberately outside this comparison.) A one-shard run has no
+      // per-shard series and merges nothing.
+      auto counters = reg.CounterEntries();
+      for (const auto& [name, value] : counters) {
+        if (shards == 1 && name.rfind("knn.shard.", 0) == 0) {
+          EXPECT_EQ(name, "knn.shard.merges");
+          EXPECT_EQ(value, 0u) << name;
+        }
+      }
+      if (baseline_counters.empty()) {
+        baseline_counters = std::move(counters);
+        EXPECT_GT(
+            reg.CounterValue("knn.queries.by_algo", {{"algo", "fagin"}}), 0u);
+      } else {
+        EXPECT_EQ(counters, baseline_counters)
+            << label << ": counter totals must not depend on thread count";
+      }
     }
   }
 }

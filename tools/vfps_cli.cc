@@ -8,11 +8,15 @@
 //                [--query-group=1]
 //                                (BASE mode: queries per packed HE round;
 //                                 0 = auto-fit the backend's CKKS slots,
-//                                 1 = one query per round, as before)
+//                                 1 = one query per round, as before;
+//                                 ignored by Fagin/TA; composes with
+//                                 --shards, one packed round per shard)
 //                [--shards=1]    (row-shard the oracle's data plane across N
 //                                 simulated storage nodes; per-shard top-k
-//                                 lists are merged hierarchically. --shards=1
-//                                 is bit-identical to the unsharded oracle)
+//                                 lists are merged hierarchically. Same
+//                                 neighbors at any shard count; --shards=1
+//                                 is the unsharded oracle. Works with
+//                                 --query-group and with churn repair)
 //                [--prefilter=treecss:C]
 //                                (TreeCSS-style per-party k-means pre-filter
 //                                 with C clusters; only the nominated cluster
