@@ -7,7 +7,7 @@
 
 namespace vfps::topk {
 
-Result<TopkResult> FaginTopk(const RankedListSet& lists, size_t k,
+Result<TopkResult> FaginTopk(RankedListSet& lists, size_t k,
                              size_t batch, obs::MetricsRegistry* obs) {
   const size_t n = lists.num_items();
   const size_t p = lists.num_parties();

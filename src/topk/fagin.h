@@ -19,12 +19,14 @@ namespace vfps::topk {
 /// Phase 3: aggregate and return the k smallest. Correct for any monotone
 /// aggregate; here the aggregate is the sum of partial distances.
 ///
+/// \param lists sorted access sorts each list only as deep as phase 1 reads
+///        it (see RankedListSet), so `lists` is advanced, never reordered.
 /// \param batch rows revealed per party per round (the protocol's mini-batch
 ///        size b; 1 reproduces textbook FA).
 /// \param obs optional metrics sink: bumps `topk.fagin.*` counters (runs,
 ///        rounds, sorted_access_depth, sorted/random accesses) and records
 ///        the candidate-set size in the `topk.fagin.candidates` histogram.
-Result<TopkResult> FaginTopk(const RankedListSet& lists, size_t k,
+Result<TopkResult> FaginTopk(RankedListSet& lists, size_t k,
                              size_t batch = 1,
                              obs::MetricsRegistry* obs = nullptr);
 

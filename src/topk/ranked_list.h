@@ -9,39 +9,56 @@
 namespace vfps::topk {
 
 /// \brief The multi-party top-k input: P parties each scoring the same N
-/// items (item id = index into the score vector). Lists are materialized in
-/// ascending score order because vertical KNN wants the k *smallest*
-/// aggregate distances.
+/// items (item id = index into the score vector). Each party's list ranks
+/// its items in ascending score order, ties broken by id, because vertical
+/// KNN wants the k *smallest* aggregate distances.
 ///
 /// Provides the two access modes of the classic middleware model (Fagin et
 /// al.): sorted access (next item in a party's rank order) and random access
 /// (a party's score for a given item).
+///
+/// Sorted access is lazy: a list is only ordered as deep as it is read.
+/// Reading a rank beyond a party's sorted prefix extends the prefix
+/// (`nth_element` over the unsorted tail, then a sort of the new chunk; see
+/// docs/KERNELS.md), so every rank reads the id a full sort would give.
+/// Because sorted access mutates the lists, one instance must not serve
+/// sorted access from two threads at once; random access (`Score`,
+/// `AggregateScore`) is read-only.
 class RankedListSet {
  public:
+  /// One party's ranking state: a permutation of the item ids whose first
+  /// `sorted` entries are the list's ranks [0, sorted). It depends only on
+  /// that party's scores, so it can be exported, kept and resumed. Ids are
+  /// stored in 32 bits (Build rejects lists of 2^32 items or more), half the
+  /// memory of a 64-bit permutation.
+  struct Ranking {
+    std::vector<uint32_t> order;
+    size_t sorted = 0;
+  };
+
   /// \param scores_per_party one score vector per party; all the same size.
+  /// \param rankings optional per-party state to resume from (e.g. cached
+  ///        sub-rankings surviving a membership change): empty, or one per
+  ///        party, where a party's empty `order` starts from the identity.
+  ///        A non-empty ranking must be one this class produced for the same
+  ///        scores; only its size and prefix length are validated.
   static Result<RankedListSet> Build(
-      std::vector<std::vector<double>> scores_per_party);
-
-  /// Build from score vectors whose sort orders are already known (e.g.
-  /// cached sub-rankings surviving a membership change) — skips the
-  /// O(n log n) per-party sort that dominates Build(). Each order must be
-  /// the permutation SortedOrder(scores) would produce; only sizes are
-  /// validated.
-  static Result<RankedListSet> BuildPresorted(
       std::vector<std::vector<double>> scores_per_party,
-      std::vector<std::vector<uint64_t>> orders_per_party);
-
-  /// The ranking Build() materializes for one party: item ids sorted
-  /// ascending by score, ties broken by id.
-  static std::vector<uint64_t> SortedOrder(const std::vector<double>& scores);
+      std::vector<Ranking> rankings = {});
 
   size_t num_parties() const { return scores_.size(); }
   size_t num_items() const { return scores_.empty() ? 0 : scores_[0].size(); }
 
-  /// Item id at rank `r` (0 = smallest score) in party `p`'s list.
-  uint64_t IdAtRank(size_t party, size_t rank) const {
-    return order_[party][rank];
+  /// Item id at rank `r` (0 = smallest score) in party `p`'s list (sorted
+  /// access; sorts the list through rank `r` if it is not yet).
+  uint64_t IdAtRank(size_t party, size_t rank) {
+    Ranking& ranking = rankings_[party];
+    if (rank >= ranking.sorted) SortThrough(party, rank);
+    return ranking.order[rank];
   }
+
+  /// Party `p`'s ranking state, to export.
+  const Ranking& ranking(size_t party) const { return rankings_[party]; }
 
   /// Party `p`'s score for item `id` (random access).
   double Score(size_t party, uint64_t id) const { return scores_[party][id]; }
@@ -51,8 +68,11 @@ class RankedListSet {
 
  private:
   RankedListSet() = default;
-  std::vector<std::vector<double>> scores_;       // [party][id] -> score
-  std::vector<std::vector<uint64_t>> order_;      // [party][rank] -> id
+  // Extends party `p`'s sorted prefix to cover at least rank `rank`.
+  void SortThrough(size_t party, size_t rank);
+
+  std::vector<std::vector<double>> scores_;  // [party][id] -> score
+  std::vector<Ranking> rankings_;            // [party]
 };
 
 /// \brief Outcome of a top-k run plus the access counts that drive the

@@ -16,8 +16,9 @@ namespace vfps::topk {
 /// at the current sorted-access frontier). Usually stops at a smaller depth
 /// than FA at the price of more random accesses; VFPS-SM supports it as an
 /// alternative top-k oracle (paper §IV-B "also supports other algorithms").
+/// Sorted access sorts each list of `lists` only as deep as TA reads it;
 /// `obs` (optional) receives the analogous `topk.ta.*` metrics.
-Result<TopkResult> ThresholdTopk(const RankedListSet& lists, size_t k,
+Result<TopkResult> ThresholdTopk(RankedListSet& lists, size_t k,
                                  obs::MetricsRegistry* obs = nullptr);
 
 }  // namespace vfps::topk

@@ -737,25 +737,26 @@ void FederatedKnnOracle::ComputePartials(const QueryEnv& env, size_t shard,
   for (const Slice& slice : slices) total += slice.rows.size();
 
   // Repair-cache lookup: a party's contribution is reusable only when it
-  // covers this shard's full item range and carries what the round needs (a
-  // sub-ranking, or the ciphertext the server still holds).
+  // covers this shard's full item range and carries what the round needs
+  // (the values, which a ranking is resumed or rebuilt from, or the
+  // ciphertext the server still holds).
   const auto cached_for = [&](size_t party) -> const PartyUnitState* {
     if (env.cached == nullptr) return nullptr;
     const auto it = env.cached->entries.find({shard, party});
     if (it == env.cached->entries.end()) return nullptr;
     const PartyUnitState& st = it->second;
-    const bool complete =
-        ranked ? st.order.size() == total : st.has_cipher;
+    const bool complete = ranked || st.has_cipher;
     return (complete && st.values.size() == total) ? &st : nullptr;
   };
 
-  // Active participants, in parallel: local partial distances (+ the
-  // sub-ranking sort in the top-k modes). Parties with a cached contribution
-  // skip the work — on repair only the membership delta pays.
+  // Active participants, in parallel: local partial distances (the top-k
+  // modes charge the sub-ranking sort here; NarrowCandidates performs it as
+  // deep as it is read). Parties with a cached contribution skip the work —
+  // on repair only the membership delta pays.
   Phase phase_dist(env.tracer, env.clock, "knn.partial_distance", "parties",
                    c_phase_dist_);
   out->values.resize(a);
-  out->orders.resize(a);
+  out->rankings.assign(ranked ? a : 0, {});
   out->hits.assign(a, nullptr);
   out->prior_depth.assign(a, 0);
   std::vector<double> compute_seconds;
@@ -768,7 +769,7 @@ void FederatedKnnOracle::ComputePartials(const QueryEnv& env, size_t shard,
       out->hits[ai] = st;
       out->values[ai] = st->values;
       if (ranked) {
-        out->orders[ai] = st->order;
+        out->rankings[ai] = st->ranking;
         out->prior_depth[ai] = st->streamed_depth;
       }
       if (stats != nullptr) ++stats->reused_contributions;
@@ -824,14 +825,12 @@ void FederatedKnnOracle::ComputePartials(const QueryEnv& env, size_t shard,
       offset += slice.rows.size();
     }
     if (ranked) {
-      out->orders[ai] = topk::RankedListSet::SortedOrder(values);
       seconds += cost_->SortSeconds(total);
       if (env.fresh != nullptr) {
-        // Stage the sub-ranking now so a later-phase failure still salvages
-        // this party's work (streamed_depth catches up after streaming).
-        PartyUnitState& st = env.fresh->entries[{shard, party}];
-        st.values = values;
-        st.order = out->orders[ai];
+        // Stage the values now so a later-phase failure still salvages this
+        // party's work (the ranking and streamed_depth follow after
+        // narrowing).
+        env.fresh->entries[{shard, party}].values = values;
       }
     }
     compute_seconds.push_back(seconds);
@@ -854,8 +853,8 @@ Status FederatedKnnOracle::NarrowCandidates(const QueryEnv& env, size_t shard,
   Phase phase_merge(env.tracer, env.clock, "knn.topk_merge", "agg-server",
                     c_phase_merge_);
   VFPS_ASSIGN_OR_RETURN(auto lists,
-                        topk::RankedListSet::BuildPresorted(
-                            std::move(in->values), std::move(in->orders)));
+                        topk::RankedListSet::Build(std::move(in->values),
+                                                   std::move(in->rankings)));
   topk::TopkResult merge;
   if (threshold) {
     VFPS_ASSIGN_OR_RETURN(merge, topk::ThresholdTopk(lists, k, obs_));
@@ -897,6 +896,10 @@ Status FederatedKnnOracle::NarrowCandidates(const QueryEnv& env, size_t shard,
   }
   if (env.fresh != nullptr) {
     for (size_t ai = 0; ai < a; ++ai) {
+      // Fresh parties keep their ranking as deep as this run sorted it.
+      if (in->hits[ai] == nullptr) {
+        env.fresh->entries[{shard, active[ai]}].ranking = lists.ranking(ai);
+      }
       if (in->prior_depth[ai] >= depth) continue;
       // Fresh parties already have a staged entry; for cached parties that
       // streamed deeper this creates a depth-only entry the cache merges.

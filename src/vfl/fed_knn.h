@@ -14,6 +14,7 @@
 #include "net/channel.h"
 #include "net/cost_model.h"
 #include "net/network.h"
+#include "topk/ranked_list.h"
 #include "vfl/pseudo_id.h"
 #include "vfl/selection_cache.h"
 
@@ -346,10 +347,14 @@ class FederatedKnnOracle {
 
   /// Per-party output of the partial-distance step over one shard's slices
   /// (caller-owned, refilled per shard). Indexed by position in `active`.
+  /// The top-k modes rank `values` lazily: `rankings` carries a cached
+  /// party's ranking state to resume from, or is empty (the ranking starts
+  /// from the identity), and NarrowCandidates sorts each list only as deep
+  /// as Fagin/TA reads it.
   struct PartyPartials {
-    std::vector<std::vector<double>> values;    // slices concatenated
-    std::vector<std::vector<uint64_t>> orders;  // top-k: sub-ranking of values
-    std::vector<const PartyUnitState*> hits;    // reused cache entry or null
+    std::vector<std::vector<double>> values;  // slices concatenated
+    std::vector<topk::RankedListSet::Ranking> rankings;  // top-k, see above
+    std::vector<const PartyUnitState*> hits;  // reused cache entry or null
     std::vector<size_t> prior_depth;  // top-k: rows the server already has
   };
 
@@ -381,15 +386,16 @@ class FederatedKnnOracle {
   size_t BuildSlice(const QueryEnv& env, size_t shard, uint64_t query_row,
                     const std::vector<uint64_t>* nominated,
                     Slice* slice) const;
-  // Per-party partial distances of one shard pass (plus the sub-ranking sort
-  // in the top-k modes), reusing the unit's cached (shard, party)
-  // contributions where they are valid.
+  // Per-party partial distances of one shard pass, reusing the unit's cached
+  // (shard, party) contributions (and, in the top-k modes, their ranking
+  // state) where they are valid.
   void ComputePartials(const QueryEnv& env, size_t shard,
                        const std::vector<Slice>& slices, PartyPartials* out,
                        FedKnnStats* stats) const;
-  // Fagin/TA over one shard's sub-rankings with mini-batch streaming to the
-  // server; shrinks `slice` and `partials` to the candidate set (query item
-  // removed) and adds the phase-1 depth to `depth`.
+  // Fagin/TA over one shard's sub-rankings, each sorted only as deep as it is
+  // read, with mini-batch streaming to the server; stages fresh parties'
+  // ranking state in the cache, shrinks `slice` and `partials` to the
+  // candidate set (query item removed) and adds the phase-1 depth to `depth`.
   Status NarrowCandidates(const QueryEnv& env, size_t shard, Slice* slice,
                           PartyPartials* partials, uint64_t* depth) const;
   // `values[ai]` is what party ai encrypts; `held[ai]`, when present, is a

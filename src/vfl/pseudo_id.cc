@@ -1,6 +1,5 @@
 #include "vfl/pseudo_id.h"
 
-#include "common/macros.h"
 #include "common/random.h"
 
 namespace vfps::vfl {
@@ -13,28 +12,6 @@ PseudoIdMap PseudoIdMap::Create(size_t count, uint64_t shared_seed) {
   map.to_original_.resize(count);
   for (size_t i = 0; i < count; ++i) map.to_original_[map.to_pseudo_[i]] = i;
   return map;
-}
-
-Result<std::vector<uint64_t>> PseudoIdMap::MapToPseudo(
-    const std::vector<uint64_t>& originals) const {
-  std::vector<uint64_t> out;
-  out.reserve(originals.size());
-  for (uint64_t id : originals) {
-    VFPS_CHECK_ARG(id < to_pseudo_.size(), "pseudo-id: original id out of range");
-    out.push_back(to_pseudo_[id]);
-  }
-  return out;
-}
-
-Result<std::vector<uint64_t>> PseudoIdMap::MapToOriginal(
-    const std::vector<uint64_t>& pseudos) const {
-  std::vector<uint64_t> out;
-  out.reserve(pseudos.size());
-  for (uint64_t id : pseudos) {
-    VFPS_CHECK_ARG(id < to_original_.size(), "pseudo-id: pseudo id out of range");
-    out.push_back(to_original_[id]);
-  }
-  return out;
 }
 
 }  // namespace vfps::vfl

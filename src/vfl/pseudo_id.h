@@ -1,10 +1,9 @@
 #ifndef VFPS_VFL_PSEUDO_ID_H_
 #define VFPS_VFL_PSEUDO_ID_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "common/result.h"
 
 namespace vfps::vfl {
 
@@ -29,12 +28,6 @@ class PseudoIdMap {
 
   uint64_t ToPseudo(uint64_t original) const { return to_pseudo_[original]; }
   uint64_t ToOriginal(uint64_t pseudo) const { return to_original_[pseudo]; }
-
-  /// Map a batch of original ids to pseudo ids (bounds-checked).
-  Result<std::vector<uint64_t>> MapToPseudo(
-      const std::vector<uint64_t>& originals) const;
-  Result<std::vector<uint64_t>> MapToOriginal(
-      const std::vector<uint64_t>& pseudos) const;
 
  private:
   std::vector<uint64_t> to_pseudo_;

@@ -8,13 +8,14 @@
 #include <vector>
 
 #include "he/backend.h"
+#include "topk/ranked_list.h"
 
 namespace vfps::vfl {
 
 /// \brief One participant's cached contribution to one shard of one protocol
 /// unit (a query, or a slot-batched group of queries).
 ///
-/// Privacy framing: `values` (and `order`) are the party's OWN plaintext
+/// Privacy framing: `values` (and `ranking`) are the party's OWN plaintext
 /// partial distances — in a real deployment each party would hold its slice
 /// of this cache locally, exactly like the live protocol state it mirrors.
 /// `cipher` is the ciphertext the aggregation server already received; the
@@ -27,10 +28,13 @@ struct PartyUnitState {
   /// modes: the party's score vector over the shard's rows in pseudo-ID
   /// order (+inf at the query's own row).
   std::vector<double> values;
-  /// Top-k modes: the party's sub-ranking (item indices sorted ascending by
-  /// score, ties by index) — caching it skips the O(n log n) re-sort on
-  /// repair.
-  std::vector<uint64_t> order;
+  /// Top-k modes: the party's ranking state over `values` — a permutation of
+  /// the item indices (`order`) whose first `sorted` entries are the
+  /// sub-ranking (ascending by score, ties by index) as deep as the last run
+  /// sorted it. Staged after narrowing, so a repair resumes the lazy sort
+  /// instead of sorting from scratch; an entry whose ranking is empty (its
+  /// run failed before narrowing) ranks its `values` from the identity.
+  topk::RankedListSet::Ranking ranking;
   /// BASE modes: the ciphertext of `values` as held by the aggregation
   /// server. On repair the server re-sums cached ciphertexts instead of
   /// asking survivors to recompute, re-encrypt, and resend.

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <numeric>
 #include <set>
+#include <tuple>
 
 #include "data/scaler.h"
 #include "data/synthetic.h"
@@ -70,15 +74,83 @@ TEST(PseudoIdTest, BijectionAndDeterminism) {
   EXPECT_LT(same, 15u);
 }
 
-TEST(PseudoIdTest, BatchMappingBoundsChecked) {
-  auto map = PseudoIdMap::Create(10, 1);
-  auto pseudo = map.MapToPseudo({0, 5, 9});
-  ASSERT_TRUE(pseudo.ok());
-  auto original = map.MapToOriginal(*pseudo);
-  ASSERT_TRUE(original.ok());
-  EXPECT_EQ(*original, (std::vector<uint64_t>{0, 5, 9}));
-  EXPECT_FALSE(map.MapToPseudo({10}).ok());
-  EXPECT_FALSE(map.MapToOriginal({10}).ok());
+TEST(PseudoIdTest, ExhaustiveRoundTrip) {
+  // Every id of every size maps to a distinct in-range pseudo id and back,
+  // in both directions.
+  for (size_t count : {1u, 2u, 10u, 1000u}) {
+    for (uint64_t seed : {1u, 2u}) {
+      auto map = PseudoIdMap::Create(count, seed);
+      ASSERT_EQ(map.count(), count);
+      std::vector<bool> hit(count, false);
+      for (uint64_t id = 0; id < count; ++id) {
+        const uint64_t pid = map.ToPseudo(id);
+        ASSERT_LT(pid, count);
+        EXPECT_FALSE(hit[pid]) << "count=" << count << " pid=" << pid;
+        hit[pid] = true;
+        EXPECT_EQ(map.ToOriginal(pid), id);
+        EXPECT_EQ(map.ToPseudo(map.ToOriginal(id)), id);
+      }
+    }
+  }
+}
+
+// The repair cache keeps each party's sub-ranking only as deep as the run
+// sorted it. A repair whose Fagin pass reads deeper (a join makes phase 1
+// need more rows) resumes those rankings and must find what a cold run does.
+TEST(FedKnnTest, RepairResumesCachedRankingsPastTheirSortedPrefix) {
+  Fixture f = Fixture::Make(2000, 12, 4);  // lists longer than a first chunk
+  FedKnnConfig config;
+  config.k = 50;
+  config.num_queries = 4;
+  config.absent = {3};
+  SelectionCache cache;
+  auto oracle = f.Oracle();
+  oracle.set_cache(&cache);
+  ASSERT_TRUE(oracle.Run(config, nullptr).ok());
+
+  // Each staged prefix is the (score, id) order of its values, at least as
+  // deep as the party streamed.
+  std::map<std::tuple<size_t, size_t, size_t>, size_t> cached_prefix;
+  for (size_t u = 0; u < cache.num_units(); ++u) {
+    for (const auto& [key, st] : cache.unit(u)->entries) {
+      const auto& ranking = st.ranking;
+      ASSERT_EQ(ranking.order.size(), st.values.size());
+      ASSERT_GE(ranking.sorted, st.streamed_depth);
+      ASSERT_LT(ranking.sorted, st.values.size());  // the sort stayed lazy
+      std::vector<uint32_t> want(st.values.size());
+      std::iota(want.begin(), want.end(), uint32_t{0});
+      std::sort(want.begin(), want.end(), [&st](uint32_t a, uint32_t b) {
+        if (st.values[a] != st.values[b]) return st.values[a] < st.values[b];
+        return a < b;
+      });
+      for (size_t r = 0; r < ranking.sorted; ++r) {
+        ASSERT_EQ(ranking.order[r], want[r]) << "unit " << u << " rank " << r;
+      }
+      cached_prefix[{u, key.first, key.second}] = ranking.sorted;
+    }
+  }
+
+  // Participant 3 joins: the survivors' rankings come from the cache.
+  config.absent.clear();
+  FedKnnStats stats;
+  auto repaired = oracle.Run(config, &stats);
+  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+  EXPECT_GT(stats.reused_contributions, 0u);
+  size_t read_deeper = 0;
+  for (const auto& [where, prefix] : cached_prefix) {
+    const auto& [u, shard, party] = where;
+    const PartyUnitState& st = cache.unit(u)->entries.at({shard, party});
+    if (st.streamed_depth > prefix) ++read_deeper;
+  }
+  EXPECT_GT(read_deeper, 0u);
+
+  auto cold = f.Oracle().Run(config, nullptr);
+  ASSERT_TRUE(cold.ok());
+  ASSERT_EQ(repaired->size(), cold->size());
+  for (size_t q = 0; q < cold->size(); ++q) {
+    EXPECT_EQ((*repaired)[q].neighbors, (*cold)[q].neighbors) << q;
+    EXPECT_EQ((*repaired)[q].per_party_dt, (*cold)[q].per_party_dt) << q;
+  }
 }
 
 TEST(FedKnnTest, BaseAndFaginAgreeOnNeighbors) {

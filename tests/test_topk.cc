@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numeric>
 #include <set>
 
 #include "common/random.h"
@@ -47,6 +50,167 @@ TEST(RankedListSetTest, RejectsBadInput) {
   EXPECT_FALSE(RankedListSet::Build({}).ok());
   EXPECT_FALSE(RankedListSet::Build({{}}).ok());
   EXPECT_FALSE(RankedListSet::Build({{1.0, 2.0}, {1.0}}).ok());
+}
+
+// The ranking a full sort gives: ascending score, ties broken by id.
+std::vector<uint32_t> FullSort(const std::vector<double>& scores) {
+  std::vector<uint32_t> order(scores.size());
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  std::sort(order.begin(), order.end(), [&scores](uint32_t a, uint32_t b) {
+    if (scores[a] != scores[b]) return scores[a] < scores[b];
+    return a < b;
+  });
+  return order;
+}
+
+// Score vectors that stress the (score, id) order: heavy ties, +inf rows,
+// mixed 0.0/-0.0, a single item, and sizes below and above the first chunk.
+std::vector<std::vector<double>> AwkwardScores() {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> out;
+  out.push_back({7.0});
+  out.push_back({0.0, -0.0, 0.0, -0.0, inf, -0.0});
+  Rng rng(17);
+  for (size_t n : {100u, 255u, 256u, 257u, 1000u, 5000u}) {
+    std::vector<double> ties(n), mixed(n);
+    for (size_t i = 0; i < n; ++i) {
+      ties[i] = static_cast<double>(rng.NextBounded(4));  // heavy ties
+      const uint64_t draw = rng.NextBounded(10);
+      mixed[i] = draw == 0   ? inf
+                 : draw == 1 ? 0.0
+                 : draw == 2 ? -0.0
+                             : rng.Uniform(-1.0, 1.0);
+    }
+    out.push_back(ties);
+    out.push_back(mixed);
+  }
+  return out;
+}
+
+TEST(RankedListSetTest, LazyIdAtRankEqualsFullSortInAnyVisitOrder) {
+  Rng rng(23);
+  for (const std::vector<double>& scores : AwkwardScores()) {
+    const std::vector<uint32_t> want = FullSort(scores);
+    const size_t n = scores.size();
+    // Deepest rank first: one extension sorts everything.
+    auto deepest = RankedListSet::Build({scores});
+    ASSERT_TRUE(deepest.ok());
+    EXPECT_EQ(deepest->IdAtRank(0, n - 1), want[n - 1]) << "n=" << n;
+    for (size_t r = 0; r < n; ++r) {
+      ASSERT_EQ(deepest->IdAtRank(0, r), want[r]) << "n=" << n << " r=" << r;
+    }
+    // Random jumps, then every rank in order.
+    auto jumps = RankedListSet::Build({scores});
+    ASSERT_TRUE(jumps.ok());
+    for (size_t i = 0; i < 50; ++i) {
+      const size_t r = rng.NextBounded(n);
+      ASSERT_EQ(jumps->IdAtRank(0, r), want[r]) << "n=" << n << " r=" << r;
+    }
+    for (size_t r = 0; r < n; ++r) {
+      ASSERT_EQ(jumps->IdAtRank(0, r), want[r]) << "n=" << n << " r=" << r;
+    }
+    // In order from a cold list.
+    auto in_order = RankedListSet::Build({scores});
+    ASSERT_TRUE(in_order.ok());
+    for (size_t r = 0; r < n; ++r) {
+      ASSERT_EQ(in_order->IdAtRank(0, r), want[r]) << "n=" << n << " r=" << r;
+    }
+    EXPECT_EQ(in_order->ranking(0).order, want);
+    EXPECT_EQ(in_order->ranking(0).sorted, n);
+  }
+}
+
+TEST(RankedListSetTest, SortsOnlyAsDeepAsRead) {
+  std::vector<double> scores(10000);
+  Rng rng(29);
+  for (double& v : scores) v = rng.NextDouble();
+  auto set = RankedListSet::Build({scores});
+  ASSERT_TRUE(set.ok());
+  EXPECT_EQ(set->ranking(0).sorted, 0u);
+  set->IdAtRank(0, 0);
+  EXPECT_EQ(set->ranking(0).sorted, 10000u / 16);  // the first chunk
+  set->IdAtRank(0, 10000 / 16);
+  EXPECT_EQ(set->ranking(0).sorted, 2 * (10000u / 16));  // doubled
+  set->IdAtRank(0, 9999);
+  EXPECT_EQ(set->ranking(0).sorted, 10000u);
+}
+
+TEST(RankedListSetTest, ExportedRankingResumesToTheFullSort) {
+  for (const std::vector<double>& scores : AwkwardScores()) {
+    const std::vector<uint32_t> want = FullSort(scores);
+    const size_t n = scores.size();
+    for (size_t d : {size_t{1}, n / 3 + 1, n}) {
+      auto first = RankedListSet::Build({scores});
+      ASSERT_TRUE(first.ok());
+      for (size_t r = 0; r < d; ++r) first->IdAtRank(0, r);
+      const RankedListSet::Ranking exported = first->ranking(0);
+      ASSERT_GE(exported.sorted, d);
+
+      auto resumed = RankedListSet::Build({scores}, {exported});
+      ASSERT_TRUE(resumed.ok());
+      EXPECT_EQ(resumed->ranking(0).sorted, exported.sorted);
+      for (size_t r = 0; r < n; ++r) {
+        ASSERT_EQ(resumed->IdAtRank(0, r), want[r])
+            << "n=" << n << " d=" << d << " r=" << r;
+      }
+    }
+  }
+}
+
+TEST(RankedListSetTest, RejectsMismatchedRankings) {
+  const std::vector<double> scores = {3.0, 1.0, 2.0};
+  RankedListSet::Ranking short_order{{0, 1}, 0};
+  RankedListSet::Ranking deep_prefix{{1, 2, 0}, 4};
+  EXPECT_FALSE(RankedListSet::Build({scores}, {short_order}).ok());
+  EXPECT_FALSE(RankedListSet::Build({scores}, {deep_prefix}).ok());
+  EXPECT_FALSE(RankedListSet::Build({scores, scores}, {{}}).ok());
+  EXPECT_TRUE(RankedListSet::Build({scores, scores}, {{}, {}}).ok());
+}
+
+// Fagin and TA over lazy lists read exactly what they read over lists
+// sorted in full before the first access.
+TEST(RankedListSetTest, FaginAndTaSeeTheSameListsLazyOrPresorted) {
+  Rng rng(31);
+  for (size_t n : {40u, 300u, 3000u}) {
+    for (double rho : {0.0, 0.8}) {
+      std::vector<double> shared(n);
+      for (double& v : shared) v = rng.NextDouble();
+      std::vector<std::vector<double>> scores(4, std::vector<double>(n));
+      for (auto& list : scores) {
+        for (size_t i = 0; i < n; ++i) {
+          // Rounded so that ties occur within and across parties.
+          list[i] = std::round(
+              100.0 * (rho * shared[i] + (1.0 - rho) * rng.NextDouble()));
+        }
+      }
+      std::vector<RankedListSet::Ranking> presorted;
+      for (const auto& list : scores) presorted.push_back({FullSort(list), n});
+      for (size_t batch : {1u, 16u}) {
+        auto lazy = RankedListSet::Build(scores);
+        auto full = RankedListSet::Build(scores, presorted);
+        ASSERT_TRUE(lazy.ok() && full.ok());
+        auto a = FaginTopk(*lazy, 10, batch);
+        auto b = FaginTopk(*full, 10, batch);
+        ASSERT_TRUE(a.ok() && b.ok());
+        EXPECT_EQ(a->ids, b->ids);
+        EXPECT_EQ(a->candidate_ids, b->candidate_ids);
+        EXPECT_EQ(a->depth, b->depth);
+        EXPECT_EQ(a->sorted_accesses, b->sorted_accesses);
+        EXPECT_EQ(a->random_accesses, b->random_accesses);
+      }
+      auto lazy = RankedListSet::Build(scores);
+      auto full = RankedListSet::Build(scores, presorted);
+      ASSERT_TRUE(lazy.ok() && full.ok());
+      auto a = ThresholdTopk(*lazy, 10);
+      auto b = ThresholdTopk(*full, 10);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_EQ(a->ids, b->ids);
+      EXPECT_EQ(a->candidate_ids, b->candidate_ids);
+      EXPECT_EQ(a->depth, b->depth);
+      EXPECT_EQ(a->sorted_accesses, b->sorted_accesses);
+      EXPECT_EQ(a->random_accesses, b->random_accesses);
+    }
+  }
 }
 
 TEST(FaginTest, PaperFigure2Example) {
