@@ -10,9 +10,11 @@
 // null-pointer check and the zero_spec:0 rows measure the exact code path
 // every pre-existing experiment takes — that is the "negligible zero-fault
 // overhead" contract. Attaching a spec, even an all-zero one, is an opt-in:
-// it turns on the seq+CRC framed ARQ path, whose per-message CRC32 pass is
-// visible with the plain HE backend (the protocol is then memcpy-bound)
-// and the zero_spec:1 rows quantify what that opt-in costs.
+// it turns on the seq+CRC framed ARQ path: each message is framed into one
+// buffer and hashed once on each side by the carry-less-multiply CRC-32
+// kernel, plus a copy of the frame kept for retransmission. The zero_spec:1
+// rows quantify what that opt-in costs; the 131,072-byte rows (one packed
+// CKKS ciphertext) show it at the size the encrypted protocol sends.
 
 #include <benchmark/benchmark.h>
 
@@ -71,7 +73,8 @@ void BM_ChannelSendRecv(benchmark::State& state) {
 BENCHMARK(BM_ChannelSendRecv)
     ->ArgNames({"bytes", "zero_spec"})
     ->Args({64, 0})->Args({64, 1})
-    ->Args({4096, 0})->Args({4096, 1});
+    ->Args({4096, 0})->Args({4096, 1})
+    ->Args({131072, 0})->Args({131072, 1});
 
 // arg0: 1 = attach a zero-probability fault plan. Mirrors the Fig. 7 cell
 // shape (4 participants, select 2, FAGIN oracle) at chaos-suite scale.

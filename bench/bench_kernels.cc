@@ -7,7 +7,8 @@
 // Coverage: 64-bit modular multiplication, the negacyclic NTT, the CKKS
 // ciphertext ops on the selection hot path (encrypt/decrypt/add/rescale),
 // the plaintext distance kernels behind KnnClassifier / FederatedKnnOracle,
-// the bounded top-k selection, and one end-to-end encrypted-KNN query.
+// the bounded top-k selection, the CRC-32 that frames every message on a
+// faulted link, and one end-to-end encrypted-KNN query.
 
 // Per-ISA rows: the ISA-sensitive benchmarks also register pinned variants
 // named `<bench>/isa:<scalar|avx2|avx512>` (only for ISAs the host supports),
@@ -23,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/buffer.h"
 #include "common/random.h"
 #include "data/synthetic.h"
 #include "he/backend.h"
@@ -358,6 +360,25 @@ void BM_SmallestK(benchmark::State& state) {
 }
 BENCHMARK(BM_SmallestK)->Arg(16384)->Unit(benchmark::kMicrosecond);
 
+// The CRC-32 ReliableChannel computes once per framed message; 131,072 bytes
+// is one packed CKKS ciphertext (N = 4096, two 54-bit-prime RNS limbs).
+void Crc32Body(benchmark::State& state, size_t n) {
+  Rng rng(31);
+  std::vector<uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) {
+    uint32_t crc = Crc32(bytes);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n));
+  SetIsaCounter(state);
+}
+
+void BM_Crc32(benchmark::State& state) {
+  Crc32Body(state, static_cast<size_t>(state.range(0)));
+}
+BENCHMARK(BM_Crc32)->Arg(131072)->Unit(benchmark::kMicrosecond);
+
 // ---------------------------------------------------------------------------
 // End-to-end encrypted-KNN query (BASE mode: encrypt-all, the paper's
 // dominant cost). Reported time covers Run() over `kQueries` queries; the
@@ -483,6 +504,10 @@ void RegisterIsaPinnedVariants() {
         PinnedTo(isa, [](benchmark::State& s) {
           BlockSquaredDistancesBody(s, 2000);
         }));
+    benchmark::RegisterBenchmark(
+        ("BM_Crc32/131072" + tag).c_str(),
+        PinnedTo(isa, [](benchmark::State& s) { Crc32Body(s, 131072); }))
+        ->Unit(benchmark::kMicrosecond);
   }
 }
 

@@ -52,6 +52,9 @@ class BinaryWriter {
  public:
   BinaryWriter() = default;
 
+  /// Pre-size the buffer for `n` bytes, so a writer of known size grows once.
+  void Reserve(size_t n) { bytes_.reserve(n); }
+
   void WriteU8(uint8_t v) { bytes_.push_back(v); }
   void WriteU32(uint32_t v) { AppendRaw(&v, sizeof(v)); }
   void WriteU64(uint64_t v) { AppendRaw(&v, sizeof(v)); }
@@ -130,6 +133,11 @@ class BinaryReader {
   /// if the payload's CRC does not match the transmitted one, OutOfRange if
   /// the frame is truncated (e.g. a corrupted length field).
   Result<std::vector<uint8_t>> ReadCrcFramed();
+
+  /// ReadCrcFramed() without the copy: the CRC is checked over the payload
+  /// where it lies, and the result views the reader's bytes. Nothing is
+  /// allocated, so a corrupt frame costs one hash pass and no more.
+  Result<std::span<const uint8_t>> ReadCrcFramedView();
 
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ == size_; }

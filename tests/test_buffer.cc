@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/random.h"
+#include "common/sim_clock.h"
+#include "net/channel.h"
+#include "net/fault.h"
+#include "net/network.h"
+
 namespace vfps {
 namespace {
 
@@ -103,6 +111,65 @@ TEST(BufferTest, CrcFramedDetectsCorruption) {
   truncated[4] = 0xFF;  // length now claims far more bytes than exist
   BinaryReader rt(truncated);
   EXPECT_TRUE(rt.ReadCrcFramed().status().IsOutOfRange());
+}
+
+// Mutation harness for the CRC frame parser, which reads untrusted bytes:
+// every single-bit flip and every truncation of a valid frame must come back
+// as a non-OK status, never as a payload.
+TEST(CrcFramedMutationTest, EveryBitFlipAndTruncationIsRejected) {
+  Rng rng(19);
+  for (size_t len : {0, 1, 15, 16, 63, 64, 65, 200, 4099}) {
+    std::vector<uint8_t> payload(len);
+    for (auto& b : payload) b = static_cast<uint8_t>(rng.Next());
+    BinaryWriter w;
+    w.WriteCrcFramed(payload);
+    std::vector<uint8_t> frame = w.TakeBytes();
+    ASSERT_EQ(BinaryReader(frame).ReadCrcFramed().ValueOrDie(), payload);
+
+    for (size_t bit = 0; bit < frame.size() * 8; ++bit) {
+      const uint8_t mask = static_cast<uint8_t>(1u << (bit % 8));
+      frame[bit / 8] ^= mask;
+      BinaryReader r(frame);
+      const auto got = r.ReadCrcFramed();
+      ASSERT_FALSE(got.ok()) << "length " << len << " bit " << bit;
+      // A flipped CRC or payload bit is Corrupt; a flipped length bit reads
+      // past the end (OutOfRange) or hashes the wrong span (Corrupt).
+      ASSERT_TRUE(got.status().IsCorrupt() || got.status().IsOutOfRange())
+          << got.status().ToString();
+      frame[bit / 8] ^= mask;
+    }
+    for (size_t cut = 0; cut < frame.size(); ++cut) {
+      BinaryReader r(frame.data(), cut);
+      ASSERT_TRUE(r.ReadCrcFramed().status().IsOutOfRange())
+          << "length " << len << " truncated at " << cut;
+    }
+  }
+}
+
+// One packed CKKS ciphertext's worth of bytes through the framed ARQ under
+// heavy corruption: every delivered payload is byte-exact.
+TEST(ReliableChannelTest, CorruptHeavyLinkDeliversCiphertextExactly) {
+  net::FaultSpec spec;
+  spec.corrupt_prob = 0.5;
+  spec.drop_prob = 0.1;
+  spec.duplicate_prob = 0.1;
+  net::RetryPolicy policy;
+  policy.max_attempts = 24;
+  net::SimNetwork network;
+  SimClock clock;
+  network.EnableFaults(spec, 3, &clock);
+  net::ReliableChannel chan(&network, &clock, policy);
+  Rng rng(23);
+  for (int round = 0; round < 8; ++round) {
+    std::vector<uint8_t> payload(131072);
+    for (auto& b : payload) b = static_cast<uint8_t>(rng.Next());
+    ASSERT_TRUE(chan.Send(0, 1, payload).ok());
+    auto got = chan.Recv(0, 1);
+    ASSERT_TRUE(got.ok()) << "round " << round << ": "
+                          << got.status().ToString();
+    ASSERT_EQ(*got, payload) << "round " << round;
+  }
+  EXPECT_GT(network.fault_stats().corrupted, 0u);
 }
 
 TEST(BufferTest, SizeTracksWrites) {

@@ -15,13 +15,17 @@
 //      including denormal and ±DBL_MAX inputs and unaligned row strides.
 //   4. SmallestK clamps k >= N and is ISA-independent.
 //   5. VFPS_FORCE_SCALAR pins ResolveIsa() to the scalar reference.
-//   6. End to end: a full VFPS-SM selection (kBase and kFagin, CKKS packed
+//   6. The CRC-32 framing kernel (carry-less-multiply fold) returns the byte
+//      loop's value for every length and alignment, one-shot or streamed
+//      through Crc32Accumulator across arbitrary split points.
+//   7. End to end: a full VFPS-SM selection (kBase and kFagin, CKKS packed
 //      backend, 1/2/8 threads) under VFPS_FORCE_SCALAR equals the dispatched
 //      run — identical SelectionOutcome, identical checkpoint bytes,
 //      identical merged counters.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdlib>
@@ -29,6 +33,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/buffer.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/checkpoint.h"
@@ -449,7 +454,123 @@ TEST(SimdDispatchTest, SetActiveIsaClampsToHost) {
 }
 
 // ---------------------------------------------------------------------------
-// 5. End-to-end: forced-scalar selection == dispatched selection
+// 5. CRC-32 framing kernel
+
+/// The ISAs a CRC check runs under: the dispatch as this process resolved it
+/// (scalar under VFPS_FORCE_SCALAR) plus every vector backend pinned.
+std::vector<simd::Isa> CrcIsas() {
+  std::vector<simd::Isa> isas = {simd::ActiveIsa()};
+  for (simd::Isa isa : VectorIsas()) isas.push_back(isa);
+  return isas;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
+
+TEST(SimdCrc32Test, EveryShortLengthAndOffsetMatchesScalar) {
+  // Lengths 0..1100 at start offsets 0..15 cover every fold entry (the
+  // 16-byte single fold below 64 bytes, the 4 x 128-bit fold above it) and
+  // every tail length the byte loop finishes.
+  const std::vector<uint8_t> buf = RandomBytes(1100 + 16, 41);
+  std::vector<uint32_t> want;
+  {
+    IsaPin pin(simd::Isa::kScalar);
+    for (size_t off = 0; off < 16; ++off) {
+      for (size_t n = 0; n <= 1100; ++n) {
+        want.push_back(Crc32(buf.data() + off, n));
+      }
+    }
+  }
+  for (simd::Isa isa : CrcIsas()) {
+    IsaPin pin(isa);
+    size_t i = 0;
+    for (size_t off = 0; off < 16; ++off) {
+      for (size_t n = 0; n <= 1100; ++n, ++i) {
+        ASSERT_EQ(Crc32(buf.data() + off, n), want[i])
+            << simd::IsaName(isa) << " offset " << off << " length " << n;
+      }
+    }
+  }
+}
+
+TEST(SimdCrc32Test, CiphertextSizedFramesMatchScalar) {
+  // One packed CKKS ciphertext (131,072 bytes, plus ragged tails) and seven
+  // of them behind a 12-byte frame header (917,516 bytes).
+  const std::vector<uint8_t> buf = RandomBytes(917516, 43);
+  for (size_t n : {size_t{131072}, size_t{131073}, size_t{131079},
+                   size_t{131087}, size_t{131088}, size_t{131135},
+                   size_t{917516}}) {
+    uint32_t want;
+    {
+      IsaPin pin(simd::Isa::kScalar);
+      want = Crc32(buf.data(), n);
+    }
+    for (simd::Isa isa : CrcIsas()) {
+      IsaPin pin(isa);
+      EXPECT_EQ(Crc32(buf.data(), n), want) << simd::IsaName(isa) << " " << n;
+    }
+  }
+}
+
+TEST(SimdCrc32Test, AccumulatorAcrossSplitsEqualsOneShot) {
+  // The fold resumes from the running state, so a stream cut into pieces
+  // under 64 bytes and pieces not divisible by 16 must hash like one call.
+  const std::vector<uint8_t> buf = RandomBytes(6000, 47);
+  Rng rng(53);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t n = rng.Next() % buf.size();
+    uint32_t want;
+    {
+      IsaPin pin(simd::Isa::kScalar);
+      want = Crc32(buf.data(), n);
+    }
+    // Piece sizes drawn per trial from a small, a sub-64 and a wide range.
+    const size_t spans[] = {17, 64, 700};
+    const size_t span = spans[trial % 3];
+    std::vector<size_t> cuts;
+    for (size_t at = 0; at < n;) {
+      const size_t piece = std::min(n - at, rng.Next() % span);
+      cuts.push_back(piece);
+      at += piece;
+    }
+    for (simd::Isa isa : CrcIsas()) {
+      IsaPin pin(isa);
+      Crc32Accumulator acc;
+      size_t at = 0;
+      for (size_t piece : cuts) {
+        acc.Update(buf.data() + at, piece);
+        at += piece;
+      }
+      ASSERT_EQ(acc.value(), want)
+          << simd::IsaName(isa) << " trial " << trial << " length " << n;
+    }
+  }
+}
+
+TEST(SimdCrc32Test, CheckVectorHoldsOnEveryIsa) {
+  const uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  std::vector<simd::Isa> isas = CrcIsas();
+  isas.push_back(simd::Isa::kScalar);
+  for (simd::Isa isa : isas) {
+    IsaPin pin(isa);
+    EXPECT_EQ(Crc32(check, sizeof(check)), 0xCBF43926u) << simd::IsaName(isa);
+    // The check string repeated 8 times (72 bytes) reaches the 4-way fold.
+    Crc32Accumulator once;
+    for (int i = 0; i < 8; ++i) once.Update(check, sizeof(check));
+    std::vector<uint8_t> repeated;
+    for (int i = 0; i < 8; ++i) {
+      repeated.insert(repeated.end(), check, check + sizeof(check));
+    }
+    EXPECT_EQ(Crc32(repeated), once.value()) << simd::IsaName(isa);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// 6. End-to-end: forced-scalar selection == dispatched selection
 
 struct Deployment {
   data::DataSplit split;
