@@ -348,12 +348,12 @@ class FederatedKnnOracle {
   /// Per-party output of the partial-distance step over one shard's slices
   /// (caller-owned, refilled per shard). Indexed by position in `active`.
   /// The top-k modes rank `values` lazily: `rankings` carries a cached
-  /// party's ranking state to resume from, or is empty (the ranking starts
-  /// from the identity), and NarrowCandidates sorts each list only as deep
-  /// as Fagin/TA reads it.
+  /// party's sorted prefix to resume from, or is empty (nothing is sorted
+  /// yet), and NarrowCandidates sorts each list only as deep as Fagin/TA
+  /// reads it.
   struct PartyPartials {
     std::vector<std::vector<double>> values;  // slices concatenated
-    std::vector<topk::RankedListSet::Ranking> rankings;  // top-k, see above
+    std::vector<topk::RankedListSet::Prefix> rankings;  // top-k, see above
     std::vector<const PartyUnitState*> hits;  // reused cache entry or null
     std::vector<size_t> prior_depth;  // top-k: rows the server already has
   };
