@@ -13,8 +13,9 @@
 // it turns on the seq+CRC framed ARQ path: each message is framed into one
 // buffer and hashed once on each side by the carry-less-multiply CRC-32
 // kernel, plus a copy of the frame kept for retransmission. The zero_spec:1
-// rows quantify what that opt-in costs; the 131,072-byte rows (one packed
-// CKKS ciphertext) show it at the size the encrypted protocol sends.
+// rows quantify what that opt-in costs; the 131,072-byte rows (two packed
+// CKKS ciphertexts at the default one-prime parameters, 65,561 bytes each)
+// show it at the scale the encrypted protocol sends.
 
 #include <benchmark/benchmark.h>
 

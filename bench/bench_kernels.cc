@@ -5,7 +5,7 @@
 // does for this operation today".
 //
 // Coverage: 64-bit modular multiplication, the negacyclic NTT, the CKKS
-// ciphertext ops on the selection hot path (encrypt/decrypt/add/rescale),
+// ciphertext ops on the selection hot path (encrypt/decrypt/add),
 // the plaintext distance kernels behind KnnClassifier / FederatedKnnOracle,
 // the bounded top-k selection, the CRC-32 that frames every message on a
 // faulted link, and one end-to-end encrypted-KNN query.
@@ -210,21 +210,6 @@ void BM_CkksAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_CkksAdd)->Arg(4096);
 
-void CkksRescaleBody(benchmark::State& state, size_t degree) {
-  CkksKernelFixture f(degree);
-  auto ct = f.ctx->EncryptVector(f.pk, f.values, &f.rng).ValueOrDie();
-  for (auto _ : state) {
-    auto dropped = f.ctx->Rescale(ct);
-    benchmark::DoNotOptimize(dropped);
-  }
-  SetIsaCounter(state);
-}
-
-void BM_CkksRescale(benchmark::State& state) {
-  CkksRescaleBody(state, static_cast<size_t>(state.range(0)));
-}
-BENCHMARK(BM_CkksRescale)->Arg(4096);
-
 // ---------------------------------------------------------------------------
 // Distance kernels + bounded top-k
 // ---------------------------------------------------------------------------
@@ -361,7 +346,8 @@ void BM_SmallestK(benchmark::State& state) {
 BENCHMARK(BM_SmallestK)->Arg(16384)->Unit(benchmark::kMicrosecond);
 
 // The CRC-32 ReliableChannel computes once per framed message; 131,072 bytes
-// is one packed CKKS ciphertext (N = 4096, two 54-bit-prime RNS limbs).
+// is about two packed CKKS ciphertexts (N = 4096, one 59-bit prime: 65,561
+// bytes each).
 void Crc32Body(benchmark::State& state, size_t n) {
   Rng rng(31);
   std::vector<uint8_t> bytes(n);
@@ -485,9 +471,6 @@ void RegisterIsaPinnedVariants() {
     benchmark::RegisterBenchmark(
         ("BM_NttInverse/4096" + tag).c_str(),
         PinnedTo(isa, [](benchmark::State& s) { NttInverseBody(s, 4096); }));
-    benchmark::RegisterBenchmark(
-        ("BM_CkksRescale/4096" + tag).c_str(),
-        PinnedTo(isa, [](benchmark::State& s) { CkksRescaleBody(s, 4096); }));
     benchmark::RegisterBenchmark(
         ("BM_DotProduct/1024" + tag).c_str(),
         PinnedTo(isa, [](benchmark::State& s) { DotProductBody(s, 1024); }));

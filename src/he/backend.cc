@@ -109,40 +109,6 @@ class CkksBackend final : public HeBackend {
     return out;
   }
 
-  Result<std::vector<EncryptedVector>> DoAddBatch(
-      const std::vector<std::vector<const EncryptedVector*>>& groups) override {
-    const size_t n = groups.size();
-    std::vector<EncryptedVector> out(n);
-    std::vector<BatchSlot> slots(n);
-    RunIndexed(pool_, n, [&](size_t g) {
-      auto sum = SumImpl(groups[g], &slots[g].stats);
-      if (sum.ok()) {
-        out[g] = sum.MoveValueUnsafe();
-      } else {
-        slots[g].status = sum.status();
-      }
-    });
-    VFPS_RETURN_NOT_OK(MergeSlots(&slots, &stats_));
-    return out;
-  }
-
-  Result<std::vector<std::vector<double>>> DoDecryptBatch(
-      const std::vector<EncryptedVector>& batch) override {
-    const size_t n = batch.size();
-    std::vector<std::vector<double>> out(n);
-    std::vector<BatchSlot> slots(n);
-    RunIndexed(pool_, n, [&](size_t i) {
-      auto dec = DecryptImpl(batch[i], &slots[i].stats);
-      if (dec.ok()) {
-        out[i] = dec.MoveValueUnsafe();
-      } else {
-        slots[i].status = dec.status();
-      }
-    });
-    VFPS_RETURN_NOT_OK(MergeSlots(&slots, &stats_));
-    return out;
-  }
-
   Result<std::unique_ptr<HeBackend>> DoFork(uint64_t stream_seed) const override {
     return std::unique_ptr<HeBackend>(
         new CkksBackend(ctx_, keys_, chunk_slots_, stream_seed));
@@ -155,6 +121,10 @@ class CkksBackend final : public HeBackend {
   }
 
   size_t SlotsPerCiphertext() const override { return chunk_slots_; }
+
+  double SummableMagnitude(size_t addends) const override {
+    return ctx_->SummableMagnitude(addends);
+  }
 
  private:
   Result<EncryptedVector> EncryptImpl(std::span<const double> values,
@@ -226,15 +196,27 @@ class CkksBackend final : public HeBackend {
     return out;
   }
 
+  // Parse a blob that must hold exactly the chunks `v.count` values take,
+  // and nothing after them.
   Status ParseChunks(const EncryptedVector& v,
                      std::vector<CkksCiphertext>* out) const {
     BinaryReader reader(v.blob);
     VFPS_ASSIGN_OR_RETURN(uint32_t num_chunks, reader.ReadU32());
+    const size_t expected =
+        v.count == 0 ? 0 : (v.count + chunk_slots_ - 1) / chunk_slots_;
+    if (num_chunks != expected) {
+      return Status::ProtocolError(
+          StrFormat("CKKS: %u ciphertexts for %zu values, want %zu",
+                    num_chunks, v.count, expected));
+    }
     out->clear();
     out->reserve(num_chunks);
     for (uint32_t c = 0; c < num_chunks; ++c) {
       VFPS_ASSIGN_OR_RETURN(auto ct, ctx_->DeserializeCiphertext(&reader));
       out->push_back(std::move(ct));
+    }
+    if (!reader.AtEnd()) {
+      return Status::ProtocolError("CKKS: trailing bytes after ciphertexts");
     }
     return Status::OK();
   }
@@ -286,40 +268,6 @@ class PaillierBackend final : public HeBackend {
         out[i] = enc.MoveValueUnsafe();
       } else {
         slots[i].status = enc.status();
-      }
-    });
-    VFPS_RETURN_NOT_OK(MergeSlots(&slots, &stats_));
-    return out;
-  }
-
-  Result<std::vector<EncryptedVector>> DoAddBatch(
-      const std::vector<std::vector<const EncryptedVector*>>& groups) override {
-    const size_t n = groups.size();
-    std::vector<EncryptedVector> out(n);
-    std::vector<BatchSlot> slots(n);
-    RunIndexed(pool_, n, [&](size_t g) {
-      auto sum = SumImpl(groups[g], &slots[g].stats);
-      if (sum.ok()) {
-        out[g] = sum.MoveValueUnsafe();
-      } else {
-        slots[g].status = sum.status();
-      }
-    });
-    VFPS_RETURN_NOT_OK(MergeSlots(&slots, &stats_));
-    return out;
-  }
-
-  Result<std::vector<std::vector<double>>> DoDecryptBatch(
-      const std::vector<EncryptedVector>& batch) override {
-    const size_t n = batch.size();
-    std::vector<std::vector<double>> out(n);
-    std::vector<BatchSlot> slots(n);
-    RunIndexed(pool_, n, [&](size_t i) {
-      auto dec = DecryptImpl(batch[i], &slots[i].stats);
-      if (dec.ok()) {
-        out[i] = dec.MoveValueUnsafe();
-      } else {
-        slots[i].status = dec.status();
       }
     });
     VFPS_RETURN_NOT_OK(MergeSlots(&slots, &stats_));
@@ -425,6 +373,9 @@ class PaillierBackend final : public HeBackend {
   Status Parse(const EncryptedVector& v, std::vector<PaillierCiphertext>* out) const {
     BinaryReader reader(v.blob);
     VFPS_ASSIGN_OR_RETURN(uint32_t n, reader.ReadU32());
+    if (n != v.count) {
+      return Status::ProtocolError("Paillier: ciphertext count mismatch");
+    }
     out->clear();
     out->reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
@@ -510,10 +461,10 @@ class PlainBackend final : public HeBackend {
 
 }  // namespace
 
-// Default (serial) batch hooks: the cheap backends (plain) and any future
+// Default (serial) batch hook: the cheap backends (plain) and any future
 // backend get correct behaviour for free; CKKS/Paillier override with
-// internally-parallel versions. They call the Do* hooks — not the public
-// wrappers — so metrics are published exactly once, by the batch wrapper.
+// internally-parallel versions. It calls DoEncrypt — not the public
+// wrapper — so metrics are published exactly once, by the batch wrapper.
 Result<std::vector<EncryptedVector>> HeBackend::DoEncryptBatch(
     const std::vector<std::vector<double>>& batch) {
   std::vector<EncryptedVector> out;
@@ -521,28 +472,6 @@ Result<std::vector<EncryptedVector>> HeBackend::DoEncryptBatch(
   for (const auto& values : batch) {
     VFPS_ASSIGN_OR_RETURN(auto enc, DoEncrypt(values));
     out.push_back(std::move(enc));
-  }
-  return out;
-}
-
-Result<std::vector<EncryptedVector>> HeBackend::DoAddBatch(
-    const std::vector<std::vector<const EncryptedVector*>>& groups) {
-  std::vector<EncryptedVector> out;
-  out.reserve(groups.size());
-  for (const auto& group : groups) {
-    VFPS_ASSIGN_OR_RETURN(auto sum, DoSum(group));
-    out.push_back(std::move(sum));
-  }
-  return out;
-}
-
-Result<std::vector<std::vector<double>>> HeBackend::DoDecryptBatch(
-    const std::vector<EncryptedVector>& batch) {
-  std::vector<std::vector<double>> out;
-  out.reserve(batch.size());
-  for (const auto& v : batch) {
-    VFPS_ASSIGN_OR_RETURN(auto dec, DoDecrypt(v));
-    out.push_back(std::move(dec));
   }
   return out;
 }
@@ -636,20 +565,23 @@ Result<std::vector<EncryptedVector>> HeBackend::EncryptBatch(
   return result;
 }
 
-Result<std::vector<EncryptedVector>> HeBackend::AddBatch(
-    const std::vector<std::vector<const EncryptedVector*>>& groups) {
-  const HeOpStats before = stats_;
-  auto result = DoAddBatch(groups);
-  if (obs_registry_ != nullptr && result.ok()) PublishDelta(before, 0);
-  return result;
+double HeBackend::SummableMagnitude(size_t /*addends*/) const {
+  return std::numeric_limits<double>::infinity();
 }
 
-Result<std::vector<std::vector<double>>> HeBackend::DecryptBatch(
-    const std::vector<EncryptedVector>& batch) {
-  const HeOpStats before = stats_;
-  auto result = DoDecryptBatch(batch);
-  if (obs_registry_ != nullptr && result.ok()) PublishDelta(before, 0);
-  return result;
+Status HeBackend::CheckSummable(std::span<const double> values,
+                                size_t addends) const {
+  const double limit = SummableMagnitude(addends);
+  if (std::isinf(limit)) return Status::OK();
+  for (double v : values) {
+    if (!(std::abs(v) <= limit)) {
+      return Status::OutOfRange(StrFormat(
+          "%s: |value| %.6g exceeds %.6g, the largest a %zu-party encrypted "
+          "sum decrypts correctly; clip or rescale the features",
+          name().c_str(), v, limit, addends));
+    }
+  }
+  return Status::OK();
 }
 
 Result<std::unique_ptr<HeBackend>> HeBackend::Fork(uint64_t stream_seed) const {

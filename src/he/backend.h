@@ -77,9 +77,9 @@ struct HeOpStats {
 ///    stats() counters. Callers that parallelize *across* protocol rounds
 ///    must give each thread its own session via Fork() and fold the sessions'
 ///    counters back with AbsorbStats() (see FederatedKnnOracle::Run).
-///  - The *Batch operations parallelize internally (over items) when a
-///    ThreadPool is attached with set_thread_pool(); their results and stats
-///    are bit-identical with and without a pool, at any thread count, because
+///  - EncryptBatch parallelizes internally (over items) when a ThreadPool
+///    is attached with set_thread_pool(); its results and stats are
+///    bit-identical with and without a pool, at any thread count, because
 ///    per-item randomness is derived serially before fanning out.
 ///  - Fork() sessions share the (immutable) key material, so ciphertexts
 ///    produced by one session decrypt under any other; forks do NOT inherit
@@ -134,16 +134,6 @@ class HeBackend {
   Result<std::vector<EncryptedVector>> EncryptBatch(
       const std::vector<std::vector<double>>& batch);
 
-  /// \brief Homomorphically sum each group — out[g] = Sum(groups[g]).
-  /// Parallelized over groups when a thread pool is attached.
-  Result<std::vector<EncryptedVector>> AddBatch(
-      const std::vector<std::vector<const EncryptedVector*>>& groups);
-
-  /// \brief Decrypt many vectors at once — out[i] = Dec(batch[i]).
-  /// Parallelized over the batch when a thread pool is attached.
-  Result<std::vector<std::vector<double>>> DecryptBatch(
-      const std::vector<EncryptedVector>& batch);
-
   /// \brief Create an independent session sharing this backend's keys.
   ///
   /// The fork has its own randomness stream (seeded from `stream_seed`) and
@@ -152,6 +142,18 @@ class HeBackend {
   /// produces the same ciphertext stream. The fork inherits this backend's
   /// metrics registry (see class comment).
   Result<std::unique_ptr<HeBackend>> Fork(uint64_t stream_seed) const;
+
+  /// \brief Largest |value| each addend of a Sum over `addends` encrypted
+  /// vectors may hold for the sum to decrypt correctly. CKKS: see
+  /// CkksContext::SummableMagnitude (about 2^18 / addends at the default
+  /// parameters). Plain and Paillier: +infinity (Paillier bounds its
+  /// fixed-point encoding in Encrypt, and its modulus dwarfs any sum).
+  virtual double SummableMagnitude(size_t addends) const;
+
+  /// \brief OutOfRange unless every value lies within
+  /// SummableMagnitude(addends): the check a party runs before encrypting
+  /// a contribution to a `addends`-way Sum.
+  Status CheckSummable(std::span<const double> values, size_t addends) const;
 
   /// Wire size of an encrypted vector holding `count` values.
   virtual size_t CiphertextBytes(size_t count) const = 0;
@@ -165,7 +167,7 @@ class HeBackend {
   /// queries' distance vectors fit one ciphertext group).
   virtual size_t SlotsPerCiphertext() const = 0;
 
-  /// Attach (or detach, with nullptr) the pool the *Batch operations use.
+  /// Attach (or detach, with nullptr) the pool EncryptBatch uses.
   /// Not thread-safe; set it before sharing the backend. Not inherited by
   /// Fork() sessions.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
@@ -207,14 +209,10 @@ class HeBackend {
   virtual Result<EncryptedVector> DoSum(
       const std::vector<const EncryptedVector*>& vectors) = 0;
   virtual Result<std::vector<double>> DoDecrypt(const EncryptedVector& v) = 0;
-  /// Default batch hooks loop the scalar hooks (NOT the public wrappers, so
+  /// The default batch hook loops DoEncrypt (NOT the public wrapper, so
   /// metrics are recorded exactly once, in the public batch wrapper).
   virtual Result<std::vector<EncryptedVector>> DoEncryptBatch(
       const std::vector<std::vector<double>>& batch);
-  virtual Result<std::vector<EncryptedVector>> DoAddBatch(
-      const std::vector<std::vector<const EncryptedVector*>>& groups);
-  virtual Result<std::vector<std::vector<double>>> DoDecryptBatch(
-      const std::vector<EncryptedVector>& batch);
   virtual Result<std::unique_ptr<HeBackend>> DoFork(
       uint64_t stream_seed) const = 0;
 

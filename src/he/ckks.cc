@@ -1,9 +1,8 @@
 #include "he/ckks.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
-#include "common/string_util.h"
-#include "he/modarith.h"
-#include "he/poly_simd.h"
 
 namespace vfps::he {
 
@@ -108,195 +107,16 @@ Status CkksContext::AddInPlaceCt(CkksCiphertext* x,
   return Status::OK();
 }
 
-Result<CkksCiphertext> CkksContext::Add(const CkksCiphertext& x,
-                                        const CkksCiphertext& y) const {
-  CkksCiphertext out = x;
-  VFPS_RETURN_NOT_OK(AddInPlaceCt(&out, y));
-  return out;
-}
-
-Result<CkksCiphertext> CkksContext::Sub(const CkksCiphertext& x,
-                                        const CkksCiphertext& y) const {
-  if (x.scale != y.scale) {
-    return Status::InvalidArgument("CKKS Sub: scale mismatch");
-  }
-  CkksCiphertext out = x;
-  SubInPlace(*rns_, &out.c0, y.c0);
-  SubInPlace(*rns_, &out.c1, y.c1);
-  return out;
-}
-
-Result<CkksCiphertext> CkksContext::AddPlain(const CkksCiphertext& x,
-                                             const RnsPoly& plaintext) const {
-  CkksCiphertext out = x;
-  if (!plaintext.ntt_form) {
-    RnsPoly pt = plaintext;
-    ToNtt(*rns_, &pt);
-    AddInPlace(*rns_, &out.c0, pt);
-  } else {
-    AddInPlace(*rns_, &out.c0, plaintext);
-  }
-  return out;
-}
-
-CkksCiphertext CkksContext::MulScalar(const CkksCiphertext& x,
-                                      uint64_t scalar) const {
-  CkksCiphertext out = x;
-  MulScalarInPlace(*rns_, &out.c0, scalar);
-  MulScalarInPlace(*rns_, &out.c1, scalar);
-  return out;
-}
-
-CkksRelinKey CkksContext::GenerateRelinKey(const CkksSecretKey& sk,
-                                           Rng* rng) const {
-  CkksRelinKey key;
-  key.digit_bits = 28;
-  size_t total_bits = 0;
-  for (uint64_t q : rns_->primes()) {
-    size_t bits = 0;
-    while ((q >> bits) != 0) ++bits;
-    total_bits += bits;
-  }
-  const size_t num_digits =
-      (total_bits + key.digit_bits - 1) / static_cast<size_t>(key.digit_bits);
-
-  // s^2 in NTT form.
-  RnsPoly s2 = sk.s;
-  MulPointwiseInPlace(*rns_, &s2, sk.s);
-
-  for (size_t j = 0; j < num_digits; ++j) {
-    RnsPoly a = SampleUniform(*rns_, rng);
-    RnsPoly e = SampleGaussian(*rns_, rng, params_.noise_sigma);
-    ToNtt(*rns_, &e);
-    // b = -(a*s + e) + T^j * s^2, with T^j reduced per prime.
-    RnsPoly b = a;
-    MulPointwiseInPlace(*rns_, &b, sk.s);
-    AddInPlace(*rns_, &b, e);
-    NegateInPlace(*rns_, &b);
-    RnsPoly shifted = s2;
-    for (size_t i = 0; i < rns_->num_primes(); ++i) {
-      const uint64_t q = rns_->prime(i);
-      const uint64_t tj = PowMod(2, static_cast<uint64_t>(key.digit_bits) * j, q);
-      for (size_t c = 0; c < rns_->n(); ++c) {
-        shifted.residues[i][c] = MulMod(shifted.residues[i][c], tj, q);
-      }
-    }
-    AddInPlace(*rns_, &b, shifted);
-    key.b.push_back(std::move(b));
-    key.a.push_back(std::move(a));
-  }
-  return key;
-}
-
-Result<CkksCiphertext> CkksContext::Multiply(const CkksCiphertext& x,
-                                             const CkksCiphertext& y,
-                                             const CkksRelinKey& rk) const {
-  if (x.level() != rns_->num_primes() || y.level() != rns_->num_primes()) {
-    return Status::InvalidArgument("CKKS Multiply: inputs must be at full level");
-  }
-  if (rk.b.empty()) {
-    return Status::InvalidArgument("CKKS Multiply: empty relinearization key");
-  }
-
-  // Tensor product components (all operands are in NTT form).
-  RnsPoly d0 = x.c0;
-  MulPointwiseInPlace(*rns_, &d0, y.c0);
-  RnsPoly d1a = x.c0;
-  MulPointwiseInPlace(*rns_, &d1a, y.c1);
-  RnsPoly d1b = x.c1;
-  MulPointwiseInPlace(*rns_, &d1b, y.c0);
-  AddInPlace(*rns_, &d1a, d1b);
-  RnsPoly d2 = x.c1;
-  MulPointwiseInPlace(*rns_, &d2, y.c1);
-
-  // Relinearize d2: digit-decompose its coefficients (base T over the CRT
-  // composition) and fold through the key.
-  FromNtt(*rns_, &d2);
-  const size_t n = rns_->n();
-  const uint64_t digit_mask = (1ULL << rk.digit_bits) - 1;
-  for (size_t j = 0; j < rk.b.size(); ++j) {
-    RnsPoly digit = ZeroPoly(*rns_);
-    for (size_t c = 0; c < n; ++c) {
-      const unsigned __int128 v = ComposeCoeffU128(*rns_, d2, c);
-      const uint64_t dj = static_cast<uint64_t>(
-          (v >> (static_cast<unsigned>(rk.digit_bits) * j)) & digit_mask);
-      for (size_t i = 0; i < rns_->num_primes(); ++i) {
-        digit.residues[i][c] = dj % rns_->prime(i);
-      }
-    }
-    ToNtt(*rns_, &digit);
-    RnsPoly tb = digit;
-    MulPointwiseInPlace(*rns_, &tb, rk.b[j]);
-    AddInPlace(*rns_, &d0, tb);
-    RnsPoly ta = std::move(digit);
-    MulPointwiseInPlace(*rns_, &ta, rk.a[j]);
-    AddInPlace(*rns_, &d1a, ta);
-  }
-
-  CkksCiphertext out;
-  out.c0 = std::move(d0);
-  out.c1 = std::move(d1a);
-  out.scale = x.scale * y.scale;
-  return out;
-}
-
-Result<CkksCiphertext> CkksContext::MultiplyPlain(const CkksCiphertext& x,
-                                                  const RnsPoly& plaintext,
-                                                  double pt_scale) const {
-  if (!plaintext.ntt_form) {
-    return Status::InvalidArgument("CKKS MultiplyPlain: plaintext must be NTT form");
-  }
-  if (pt_scale <= 0.0) {
-    return Status::InvalidArgument("CKKS MultiplyPlain: bad plaintext scale");
-  }
-  CkksCiphertext out = x;
-  MulPointwiseInPlace(*rns_, &out.c0, plaintext);
-  MulPointwiseInPlace(*rns_, &out.c1, plaintext);
-  out.scale = x.scale * pt_scale;
-  return out;
-}
-
-Result<CkksCiphertext> CkksContext::Rescale(const CkksCiphertext& x) const {
-  const size_t level = x.level();
-  if (level < 2) {
-    return Status::InvalidArgument("CKKS Rescale: no prime left to drop");
-  }
-  const size_t last = level - 1;
-  const uint64_t q_last = rns_->prime(last);
-  CkksCiphertext out;
-  out.scale = x.scale / static_cast<double>(q_last);
-  // Scratch for the coefficient-form copy (fully overwritten below).
-  thread_local RnsPoly coeff;
-  for (const RnsPoly* src : {&x.c0, &x.c1}) {
-    ResizePoly(*rns_, &coeff);
-    for (size_t i = 0; i < src->num_primes(); ++i) {
-      coeff.residues[i].assign(src->residues[i].begin(),
-                               src->residues[i].end());
-    }
-    coeff.ntt_form = src->ntt_form;
-    FromNtt(*rns_, &coeff);
-    RnsPoly dropped;
-    dropped.ntt_form = false;
-    dropped.residues.resize(last);
-    for (size_t i = 0; i < last; ++i) {
-      auto& dst = dropped.residues[i];
-      dst.resize(rns_->n());
-      // Centered remainder of the dropped residue, reduced into q and folded
-      // with the cached (q_last mod q)^{-1}; dispatched to the widest SIMD
-      // backend and bit-identical to the scalar loop (see poly_simd.h).
-      detail::RescaleRoundVec(dst.data(), coeff.residues[i].data(),
-                              coeff.residues[last].data(), rns_->n(), q_last,
-                              rns_->modulus(i), rns_->rescale_q_last_inv(i),
-                              rns_->rescale_q_last_inv_shoup(i));
-    }
-    ToNtt(*rns_, &dropped);
-    if (src == &x.c0) {
-      out.c0 = std::move(dropped);
-    } else {
-      out.c1 = std::move(dropped);
-    }
-  }
-  return out;
+double CkksContext::SummableMagnitude(size_t addends) const {
+  const size_t terms = std::max<size_t>(addends, 1);
+  const long double noise =
+      static_cast<long double>(2 * rns_->n() + 1) *
+      static_cast<long double>(GaussianTailBound(params_.noise_sigma));
+  const long double per_term =
+      std::min(rns_->modulus_approx() / (2.0L * terms) - noise - 1.0L,
+               static_cast<long double>(encoder_->coeff_bound()));
+  if (per_term <= 0.0L) return 0.0;
+  return static_cast<double>(per_term / params_.scale) * (1.0 - 0x1p-20);
 }
 
 void CkksContext::SerializeCiphertext(const CkksCiphertext& ct,
@@ -309,21 +129,47 @@ void CkksContext::SerializeCiphertext(const CkksCiphertext& ct,
   }
 }
 
+namespace {
+// A truncated payload is as malformed as any other: report it in the same
+// status code as the shape checks below.
+template <typename T>
+Result<T> WireField(Result<T> field) {
+  if (!field.ok()) {
+    return Status::ProtocolError("CKKS deserialize: " +
+                                 field.status().message());
+  }
+  return field;
+}
+}  // namespace
+
 Result<CkksCiphertext> CkksContext::DeserializeCiphertext(
     BinaryReader* in) const {
   CkksCiphertext ct;
-  VFPS_ASSIGN_OR_RETURN(ct.scale, in->ReadDouble());
-  VFPS_ASSIGN_OR_RETURN(uint8_t ntt_form, in->ReadU8());
+  VFPS_ASSIGN_OR_RETURN(ct.scale, WireField(in->ReadDouble()));
+  if (!(ct.scale == params_.scale)) {  // also rejects NaN
+    return Status::ProtocolError("CKKS deserialize: scale mismatch");
+  }
+  VFPS_ASSIGN_OR_RETURN(uint8_t ntt_form, WireField(in->ReadU8()));
+  if (ntt_form > 1) {
+    return Status::ProtocolError("CKKS deserialize: bad form byte");
+  }
   for (RnsPoly* poly : {&ct.c0, &ct.c1}) {
-    VFPS_ASSIGN_OR_RETURN(uint32_t num_primes, in->ReadU32());
-    if (num_primes == 0 || num_primes > rns_->num_primes()) {
+    VFPS_ASSIGN_OR_RETURN(uint32_t num_primes, WireField(in->ReadU32()));
+    if (num_primes != rns_->num_primes()) {
       return Status::ProtocolError("CKKS deserialize: prime count mismatch");
     }
     poly->residues.resize(num_primes);
     for (uint32_t i = 0; i < num_primes; ++i) {
-      VFPS_ASSIGN_OR_RETURN(poly->residues[i], in->ReadU64Vec());
+      VFPS_ASSIGN_OR_RETURN(poly->residues[i], WireField(in->ReadU64Vec()));
       if (poly->residues[i].size() != rns_->n()) {
         return Status::ProtocolError("CKKS deserialize: degree mismatch");
+      }
+      const uint64_t q = rns_->prime(i);
+      bool reduced = true;
+      for (uint64_t r : poly->residues[i]) reduced &= r < q;
+      if (!reduced) {
+        return Status::ProtocolError(
+            "CKKS deserialize: residue not below its prime");
       }
     }
     poly->ntt_form = (ntt_form != 0);

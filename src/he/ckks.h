@@ -16,12 +16,15 @@ namespace vfps::he {
 
 /// \brief CKKS scheme parameters.
 ///
-/// The defaults (n = 4096, two 54-bit primes, scale 2^40) match the additive
-/// workload of the VFPS-SM protocol: Q ~ 2^108 leaves > 60 bits of headroom
-/// above the scale, so dozens of ciphertext additions stay far from overflow.
+/// The scheme is additive-only: the VFPS-SM protocol encrypts, sums and
+/// decrypts, and never multiplies ciphertexts, so one level suffices. The
+/// defaults (n = 4096, one 59-bit prime, scale 2^40) leave q / 2 ~ 2^58, i.e.
+/// 2^18 / P of plaintext magnitude per party in a P-party sum (see
+/// CkksContext::SummableMagnitude), at log q = 59, well inside the 128-bit
+/// HE-standard bound for n = 4096 (log q <= 109).
 struct CkksParams {
   size_t poly_degree = 4096;
-  std::vector<int> prime_bits = {54, 54};
+  std::vector<int> prime_bits = {59};
   double scale = 1099511627776.0;  // 2^40
   double noise_sigma = 3.2;
 };
@@ -42,19 +45,6 @@ struct CkksCiphertext {
   RnsPoly c0;
   RnsPoly c1;
   double scale = 0.0;
-
-  /// Remaining RNS primes (full level = params.prime_bits.size(); each
-  /// Rescale consumes one).
-  size_t level() const { return c0.num_primes(); }
-};
-
-/// \brief Relinearization key: digit-decomposition "encryptions" of s^2,
-/// b_j = -(a_j s + e_j) + T^j s^2 with T = 2^digit_bits. Used to fold the
-/// quadratic term of a ciphertext-ciphertext product back to two components.
-struct CkksRelinKey {
-  std::vector<RnsPoly> b;  // NTT form
-  std::vector<RnsPoly> a;  // NTT form
-  int digit_bits = 0;
 };
 
 /// \brief CKKS context: validated parameters, RNS base, encoder, and all
@@ -97,44 +87,37 @@ class CkksContext {
                                             const CkksCiphertext& ct,
                                             size_t count) const;
 
-  /// Homomorphic ciphertext addition (scales must match).
-  Result<CkksCiphertext> Add(const CkksCiphertext& x,
-                             const CkksCiphertext& y) const;
+  /// Homomorphic ciphertext addition x += y (scales must match).
   Status AddInPlaceCt(CkksCiphertext* x, const CkksCiphertext& y) const;
 
-  /// Homomorphic subtraction x - y.
-  Result<CkksCiphertext> Sub(const CkksCiphertext& x,
-                             const CkksCiphertext& y) const;
-
-  /// Add an encoded plaintext (same scale) to a ciphertext.
-  Result<CkksCiphertext> AddPlain(const CkksCiphertext& x,
-                                  const RnsPoly& plaintext) const;
-
-  /// Multiply a ciphertext by a small non-negative integer scalar.
-  CkksCiphertext MulScalar(const CkksCiphertext& x, uint64_t scalar) const;
-
-  /// Generate the relinearization key for ciphertext-ciphertext multiplies.
-  CkksRelinKey GenerateRelinKey(const CkksSecretKey& sk, Rng* rng) const;
-
-  /// Homomorphic multiply with relinearization. Inputs must be at full level
-  /// (2 primes); the output scale is x.scale * y.scale — follow with
-  /// Rescale to bring it back down and consume one prime.
-  Result<CkksCiphertext> Multiply(const CkksCiphertext& x,
-                                  const CkksCiphertext& y,
-                                  const CkksRelinKey& rk) const;
-
-  /// Multiply by an encoded plaintext (NTT form, encoded at `pt_scale`).
-  /// The output scale is x.scale * pt_scale — follow with Rescale.
-  Result<CkksCiphertext> MultiplyPlain(const CkksCiphertext& x,
-                                       const RnsPoly& plaintext,
-                                       double pt_scale) const;
-
-  /// Drop the last remaining RNS prime, dividing the encrypted values (and
-  /// the scale) by it. Requires level >= 2.
-  Result<CkksCiphertext> Rescale(const CkksCiphertext& x) const;
+  /// \brief Largest |value| a slot may hold so that a Sum of `addends`
+  /// fresh encryptions still decrypts correctly.
+  ///
+  /// A slot vector of magnitude at most V encodes to coefficients of
+  /// magnitude at most scale * V, and a fresh ciphertext decrypts with noise
+  /// below E = (2n + 1) * B, B = GaussianTailBound(noise_sigma). The sum of
+  /// `addends` such plaintexts stays in (-Q/2, Q/2], where the decoder's
+  /// centered lift is exact, while
+  ///
+  ///   addends * (scale * V + E + 1) <= Q / 2,
+  ///
+  /// so the limit is (Q / (2 * addends) - E - 1) / scale, shrunk by a
+  /// relative 2^-20 for the floating-point error of the encoding FFT and
+  /// capped at the encoder's own bound. Beyond it a coefficient of the sum
+  /// wraps modulo Q and decodes to an unrelated value.
+  double SummableMagnitude(size_t addends) const;
 
   /// Ciphertext wire format; size feeds the simulated network's byte meter.
+  /// Layout: scale (f64), form byte (0 = coefficient, 1 = NTT), then per
+  /// component a prime count and one length-prefixed residue vector per
+  /// prime.
   void SerializeCiphertext(const CkksCiphertext& ct, BinaryWriter* out) const;
+  /// \brief Parse one ciphertext, accepting only the shape this context
+  /// produces: the scale equal to params().scale, a form byte of 0 or 1,
+  /// every prime of the base, n residues each, every residue below its
+  /// prime. Anything else, truncation included, is a ProtocolError; a
+  /// payload that frames correctly passes the channel CRC, so this is the
+  /// check that keeps hostile bytes out of the ring arithmetic.
   Result<CkksCiphertext> DeserializeCiphertext(BinaryReader* in) const;
 
   /// Serialized ciphertext size in bytes for the current parameters.

@@ -1,5 +1,6 @@
 #include "he/ckks_encoder.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/macros.h"
@@ -10,9 +11,6 @@ namespace vfps::he {
 
 namespace {
 constexpr double kPi = 3.14159265358979323846;
-// Encoded coefficients must stay well below the smallest RNS prime (>= 2^53
-// by construction) times headroom; 2^62 also guards the int64 rounding path.
-constexpr double kCoeffBound = 4.611686018427387904e18;  // 2^62
 }  // namespace
 
 Result<CkksEncoder> CkksEncoder::Create(std::shared_ptr<const RnsContext> ctx) {
@@ -21,6 +19,15 @@ Result<CkksEncoder> CkksEncoder::Create(std::shared_ptr<const RnsContext> ctx) {
   if (n < 4 || (n & (n - 1)) != 0) {
     return Status::InvalidArgument("CkksEncoder: ring degree must be a power of two >= 4");
   }
+  // The largest double at most Q/2: a coefficient strictly below it rounds
+  // to at most (Q - 1) / 2 in magnitude (Q is odd), inside the centered
+  // range.
+  const long double half_q = enc.ctx_->modulus_approx() / 2.0L;
+  double bound = static_cast<double>(half_q);
+  while (static_cast<long double>(bound) > half_q) {
+    bound = std::nextafter(bound, 0.0);
+  }
+  enc.coeff_bound_ = std::min(bound, 0x1p62);
   enc.twist_re_.resize(n);
   enc.twist_im_.resize(n);
   for (size_t k = 0; k < n; ++k) {
@@ -137,7 +144,7 @@ Status CkksEncoder::EncodeCoeffs(std::span<const double> values, double scale,
     // c_k = (2/n) * Re(w^{-k} * A_k) * scale
     const double coeff =
         inv * (twist_re_[k] * re[k] + twist_im_[k] * im[k]) * scale;
-    if (!(std::abs(coeff) < kCoeffBound)) {
+    if (!(std::abs(coeff) < coeff_bound_)) {
       return Status::OutOfRange(
           StrFormat("CkksEncoder: coefficient %.3e overflows encode bound; "
                     "reduce the scale or the value magnitudes",
@@ -145,7 +152,8 @@ Status CkksEncoder::EncodeCoeffs(std::span<const double> values, double scale,
     }
     rounded[k] = RoundHalfAway(coeff);
   }
-  // |c| < 2^62, so one 64-bit Barrett reduction per prime maps it to RNS.
+  // |c| < min(Q/2, 2^62), so one 64-bit Barrett reduction per prime maps it
+  // to RNS.
   ResizePoly(*ctx_, out);
   for (size_t i = 0; i < out->num_primes(); ++i) {
     const Modulus& mod = ctx_->modulus(i);

@@ -33,9 +33,15 @@ class CkksEncoder {
 
   size_t slot_count() const { return ctx_->n() / 2; }
 
+  /// \brief Exclusive bound on |coefficient| for Encode: at most Q/2, where
+  /// the decoder's centered lift still recovers the coefficient, and at most
+  /// 2^62, which keeps the int64 rounding path exact. A slot vector of
+  /// magnitude V has coefficients of magnitude at most scale * V.
+  double coeff_bound() const { return coeff_bound_; }
+
   /// \brief Encode at most slot_count() values with the given scale. The
   /// result is returned in NTT (evaluation) form, ready for pointwise ops.
-  /// Fails if any rounded coefficient would overflow the 62-bit safety bound.
+  /// Fails with OutOfRange if a coefficient reaches coeff_bound().
   /// Values beyond `values.size()` implicitly encode as zero (the unused
   /// slots of a partially-filled ciphertext are zero-masked by construction).
   /// Accepts a span so batched callers can encode sub-ranges without copying.
@@ -64,6 +70,7 @@ class CkksEncoder {
   void Fft(double* re, double* im) const;
 
   std::shared_ptr<const RnsContext> ctx_;
+  double coeff_bound_ = 0.0;
   // Twist factors w^k = exp(i*pi*k/n), k in [0, n), split into cos / sin.
   std::vector<double> twist_re_;
   std::vector<double> twist_im_;

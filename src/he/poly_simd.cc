@@ -21,10 +21,6 @@ void AddModScalar(uint64_t* a, const uint64_t* b, size_t n, uint64_t q) {
   for (size_t j = 0; j < n; ++j) a[j] = AddMod(a[j], b[j], q);
 }
 
-void SubModScalar(uint64_t* a, const uint64_t* b, size_t n, uint64_t q) {
-  for (size_t j = 0; j < n; ++j) a[j] = SubMod(a[j], b[j], q);
-}
-
 void NegateModScalar(uint64_t* a, size_t n, uint64_t q) {
   for (size_t j = 0; j < n; ++j) a[j] = NegateMod(a[j], q);
 }
@@ -32,30 +28,6 @@ void NegateModScalar(uint64_t* a, size_t n, uint64_t q) {
 void MulModBarrettScalar(uint64_t* a, const uint64_t* b, size_t n,
                          const Modulus& m) {
   for (size_t j = 0; j < n; ++j) a[j] = MulMod(a[j], b[j], m);
-}
-
-void MulModShoupScalar(uint64_t* a, size_t n, uint64_t w, uint64_t w_shoup,
-                       uint64_t q) {
-  for (size_t j = 0; j < n; ++j) a[j] = MulModShoup(a[j], w, w_shoup, q);
-}
-
-void RescaleRoundScalar(uint64_t* dst, const uint64_t* src,
-                        const uint64_t* last, size_t n, uint64_t q_last,
-                        const Modulus& m, uint64_t q_last_inv,
-                        uint64_t q_last_inv_shoup) {
-  const uint64_t q = m.value;
-  const uint64_t q_last_half = q_last / 2;
-  for (size_t c = 0; c < n; ++c) {
-    const uint64_t r = last[c];
-    uint64_t r_mod_q;
-    if (r > q_last_half) {
-      r_mod_q = NegateMod(BarrettReduce64(q_last - r, m), q);
-    } else {
-      r_mod_q = BarrettReduce64(r, m);
-    }
-    const uint64_t t = SubMod(src[c], r_mod_q, q);
-    dst[c] = MulModShoup(t, q_last_inv, q_last_inv_shoup, q);
-  }
 }
 
 #ifdef VFPS_SIMD_X86
@@ -78,22 +50,6 @@ VFPS_TARGET_AVX2 void AddModAvx2(uint64_t* a, const uint64_t* b, size_t n,
                         Avx2CSub(_mm256_add_epi64(va, vb), vq));
   }
   for (; j < n; ++j) a[j] = AddMod(a[j], b[j], q);
-}
-
-VFPS_TARGET_AVX2 void SubModAvx2(uint64_t* a, const uint64_t* b, size_t n,
-                                 uint64_t q) {
-  const __m256i vq = _mm256_set1_epi64x(static_cast<int64_t>(q));
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<__m256i*>(a + j));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    const __m256i d = _mm256_sub_epi64(va, vb);
-    const __m256i lt = Avx2CmpLtU64(va, vb);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + j),
-                        _mm256_add_epi64(d, _mm256_and_si256(lt, vq)));
-  }
-  for (; j < n; ++j) a[j] = SubMod(a[j], b[j], q);
 }
 
 VFPS_TARGET_AVX2 void NegateModAvx2(uint64_t* a, size_t n, uint64_t q) {
@@ -142,63 +98,6 @@ VFPS_TARGET_AVX2 void MulModBarrettAvx2(uint64_t* a, const uint64_t* b,
   for (; j < n; ++j) a[j] = MulMod(a[j], b[j], m);
 }
 
-VFPS_TARGET_AVX2 void MulModShoupAvx2(uint64_t* a, size_t n, uint64_t w,
-                                      uint64_t w_shoup, uint64_t q) {
-  const __m256i vq = _mm256_set1_epi64x(static_cast<int64_t>(q));
-  const __m256i vw = _mm256_set1_epi64x(static_cast<int64_t>(w));
-  const __m256i vws = _mm256_set1_epi64x(static_cast<int64_t>(w_shoup));
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<__m256i*>(a + j));
-    const __m256i lazy = Avx2MulModShoupLazy(va, vw, vws, vq);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + j), Avx2CSub(lazy, vq));
-  }
-  for (; j < n; ++j) a[j] = MulModShoup(a[j], w, w_shoup, q);
-}
-
-VFPS_TARGET_AVX2 void RescaleRoundAvx2(uint64_t* dst, const uint64_t* src,
-                                       const uint64_t* last, size_t n,
-                                       uint64_t q_last, const Modulus& m,
-                                       uint64_t q_last_inv,
-                                       uint64_t q_last_inv_shoup) {
-  const uint64_t q = m.value;
-  const __m256i vq = _mm256_set1_epi64x(static_cast<int64_t>(q));
-  const __m256i v_qlast = _mm256_set1_epi64x(static_cast<int64_t>(q_last));
-  const __m256i v_half = _mm256_set1_epi64x(static_cast<int64_t>(q_last / 2));
-  const __m256i ratio_hi =
-      _mm256_set1_epi64x(static_cast<int64_t>(m.const_ratio[1]));
-  const __m256i v_inv = _mm256_set1_epi64x(static_cast<int64_t>(q_last_inv));
-  const __m256i v_invs =
-      _mm256_set1_epi64x(static_cast<int64_t>(q_last_inv_shoup));
-  const __m256i zero = _mm256_setzero_si256();
-  size_t c = 0;
-  for (; c + 4 <= n; c += 4) {
-    const __m256i vr =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(last + c));
-    // Centered remainder: reduce r (small half) or q_last - r (big half).
-    const __m256i big = Avx2CmpLtU64(v_half, vr);
-    const __m256i sel =
-        _mm256_blendv_epi8(vr, _mm256_sub_epi64(v_qlast, vr), big);
-    const __m256i red = Avx2BarrettReduce64(sel, ratio_hi, vq);
-    const __m256i is_zero = _mm256_cmpeq_epi64(red, zero);
-    const __m256i neg =
-        _mm256_andnot_si256(is_zero, _mm256_sub_epi64(vq, red));
-    const __m256i r_mod_q = _mm256_blendv_epi8(red, neg, big);
-    const __m256i vsrc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + c));
-    const __m256i d = _mm256_sub_epi64(vsrc, r_mod_q);
-    const __m256i lt = Avx2CmpLtU64(vsrc, r_mod_q);
-    const __m256i t = _mm256_add_epi64(d, _mm256_and_si256(lt, vq));
-    const __m256i lazy = Avx2MulModShoupLazy(t, v_inv, v_invs, vq);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + c),
-                        Avx2CSub(lazy, vq));
-  }
-  if (c < n) {
-    RescaleRoundScalar(dst + c, src + c, last + c, n - c, q_last, m,
-                       q_last_inv, q_last_inv_shoup);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // AVX-512 backends
 // ---------------------------------------------------------------------------
@@ -213,20 +112,6 @@ VFPS_TARGET_AVX512 void AddModAvx512(uint64_t* a, const uint64_t* b, size_t n,
     _mm512_storeu_si512(a + j, Avx512CSub(_mm512_add_epi64(va, vb), vq));
   }
   for (; j < n; ++j) a[j] = AddMod(a[j], b[j], q);
-}
-
-VFPS_TARGET_AVX512 void SubModAvx512(uint64_t* a, const uint64_t* b, size_t n,
-                                     uint64_t q) {
-  const __m512i vq = _mm512_set1_epi64(static_cast<int64_t>(q));
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512i va = _mm512_loadu_si512(a + j);
-    const __m512i vb = _mm512_loadu_si512(b + j);
-    const __m512i d = _mm512_sub_epi64(va, vb);
-    const __mmask8 lt = _mm512_cmplt_epu64_mask(va, vb);
-    _mm512_storeu_si512(a + j, _mm512_mask_add_epi64(d, lt, d, vq));
-  }
-  for (; j < n; ++j) a[j] = SubMod(a[j], b[j], q);
 }
 
 VFPS_TARGET_AVX512 void NegateModAvx512(uint64_t* a, size_t n, uint64_t q) {
@@ -269,56 +154,6 @@ VFPS_TARGET_AVX512 void MulModBarrettAvx512(uint64_t* a, const uint64_t* b,
   for (; j < n; ++j) a[j] = MulMod(a[j], b[j], m);
 }
 
-VFPS_TARGET_AVX512 void MulModShoupAvx512(uint64_t* a, size_t n, uint64_t w,
-                                          uint64_t w_shoup, uint64_t q) {
-  const __m512i vq = _mm512_set1_epi64(static_cast<int64_t>(q));
-  const __m512i vw = _mm512_set1_epi64(static_cast<int64_t>(w));
-  const __m512i vws = _mm512_set1_epi64(static_cast<int64_t>(w_shoup));
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512i va = _mm512_loadu_si512(a + j);
-    const __m512i lazy = Avx512MulModShoupLazy(va, vw, vws, vq);
-    _mm512_storeu_si512(a + j, Avx512CSub(lazy, vq));
-  }
-  for (; j < n; ++j) a[j] = MulModShoup(a[j], w, w_shoup, q);
-}
-
-VFPS_TARGET_AVX512 void RescaleRoundAvx512(uint64_t* dst, const uint64_t* src,
-                                           const uint64_t* last, size_t n,
-                                           uint64_t q_last, const Modulus& m,
-                                           uint64_t q_last_inv,
-                                           uint64_t q_last_inv_shoup) {
-  const uint64_t q = m.value;
-  const __m512i vq = _mm512_set1_epi64(static_cast<int64_t>(q));
-  const __m512i v_qlast = _mm512_set1_epi64(static_cast<int64_t>(q_last));
-  const __m512i v_half = _mm512_set1_epi64(static_cast<int64_t>(q_last / 2));
-  const __m512i ratio_hi =
-      _mm512_set1_epi64(static_cast<int64_t>(m.const_ratio[1]));
-  const __m512i v_inv = _mm512_set1_epi64(static_cast<int64_t>(q_last_inv));
-  const __m512i v_invs =
-      _mm512_set1_epi64(static_cast<int64_t>(q_last_inv_shoup));
-  size_t c = 0;
-  for (; c + 8 <= n; c += 8) {
-    const __m512i vr = _mm512_loadu_si512(last + c);
-    const __mmask8 big = _mm512_cmplt_epu64_mask(v_half, vr);
-    const __m512i sel = _mm512_mask_sub_epi64(vr, big, v_qlast, vr);
-    const __m512i red = Avx512BarrettReduce64(sel, ratio_hi, vq);
-    const __mmask8 nz = _mm512_test_epi64_mask(red, red);
-    const __m512i neg = _mm512_maskz_sub_epi64(nz, vq, red);
-    const __m512i r_mod_q = _mm512_mask_mov_epi64(red, big, neg);
-    const __m512i vsrc = _mm512_loadu_si512(src + c);
-    const __m512i d = _mm512_sub_epi64(vsrc, r_mod_q);
-    const __mmask8 lt = _mm512_cmplt_epu64_mask(vsrc, r_mod_q);
-    const __m512i t = _mm512_mask_add_epi64(d, lt, d, vq);
-    const __m512i lazy = Avx512MulModShoupLazy(t, v_inv, v_invs, vq);
-    _mm512_storeu_si512(dst + c, Avx512CSub(lazy, vq));
-  }
-  if (c < n) {
-    RescaleRoundScalar(dst + c, src + c, last + c, n - c, q_last, m,
-                       q_last_inv, q_last_inv_shoup);
-  }
-}
-
 }  // namespace
 
 #endif  // VFPS_SIMD_X86
@@ -341,22 +176,6 @@ void AddModVec(uint64_t* a, const uint64_t* b, size_t n, uint64_t q) {
   }
 #endif
   AddModScalar(a, b, n, q);
-}
-
-void SubModVec(uint64_t* a, const uint64_t* b, size_t n, uint64_t q) {
-#ifdef VFPS_SIMD_X86
-  switch (simd::ActiveIsa()) {
-    case simd::Isa::kAvx512:
-      SubModAvx512(a, b, n, q);
-      return;
-    case simd::Isa::kAvx2:
-      SubModAvx2(a, b, n, q);
-      return;
-    case simd::Isa::kScalar:
-      break;
-  }
-#endif
-  SubModScalar(a, b, n, q);
 }
 
 void NegateModVec(uint64_t* a, size_t n, uint64_t q) {
@@ -390,44 +209,6 @@ void MulModBarrettVec(uint64_t* a, const uint64_t* b, size_t n,
   }
 #endif
   MulModBarrettScalar(a, b, n, m);
-}
-
-void MulModShoupVec(uint64_t* a, size_t n, uint64_t w, uint64_t w_shoup,
-                    uint64_t q) {
-#ifdef VFPS_SIMD_X86
-  switch (simd::ActiveIsa()) {
-    case simd::Isa::kAvx512:
-      MulModShoupAvx512(a, n, w, w_shoup, q);
-      return;
-    case simd::Isa::kAvx2:
-      MulModShoupAvx2(a, n, w, w_shoup, q);
-      return;
-    case simd::Isa::kScalar:
-      break;
-  }
-#endif
-  MulModShoupScalar(a, n, w, w_shoup, q);
-}
-
-void RescaleRoundVec(uint64_t* dst, const uint64_t* src, const uint64_t* last,
-                     size_t n, uint64_t q_last, const Modulus& m,
-                     uint64_t q_last_inv, uint64_t q_last_inv_shoup) {
-#ifdef VFPS_SIMD_X86
-  switch (simd::ActiveIsa()) {
-    case simd::Isa::kAvx512:
-      RescaleRoundAvx512(dst, src, last, n, q_last, m, q_last_inv,
-                         q_last_inv_shoup);
-      return;
-    case simd::Isa::kAvx2:
-      RescaleRoundAvx2(dst, src, last, n, q_last, m, q_last_inv,
-                       q_last_inv_shoup);
-      return;
-    case simd::Isa::kScalar:
-      break;
-  }
-#endif
-  RescaleRoundScalar(dst, src, last, n, q_last, m, q_last_inv,
-                     q_last_inv_shoup);
 }
 
 }  // namespace vfps::he::detail

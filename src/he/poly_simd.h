@@ -2,8 +2,7 @@
 #define VFPS_HE_POLY_SIMD_H_
 
 /// \file
-/// \brief Dispatched residue-vector kernels behind the RnsPoly operations
-/// and the CKKS rescale inner loop.
+/// \brief Dispatched residue-vector kernels behind the RnsPoly operations.
 ///
 /// Every operation comes in two spellings: `XxxVec` runs the widest backend
 /// simd::ActiveIsa() allows (scalar, AVX2, or AVX-512), and `XxxScalar` is
@@ -26,11 +25,6 @@ void AddModVec(uint64_t* a, const uint64_t* b, size_t n, uint64_t q);
 /// Scalar reference for AddModVec.
 void AddModScalar(uint64_t* a, const uint64_t* b, size_t n, uint64_t q);
 
-/// a[i] = (a[i] - b[i]) mod q, inputs in [0, q).
-void SubModVec(uint64_t* a, const uint64_t* b, size_t n, uint64_t q);
-/// Scalar reference for SubModVec.
-void SubModScalar(uint64_t* a, const uint64_t* b, size_t n, uint64_t q);
-
 /// a[i] = (q - a[i]) mod q (zero stays zero), inputs in [0, q).
 void NegateModVec(uint64_t* a, size_t n, uint64_t q);
 /// Scalar reference for NegateModVec.
@@ -43,35 +37,6 @@ void MulModBarrettVec(uint64_t* a, const uint64_t* b, size_t n,
 /// Scalar reference for MulModBarrettVec.
 void MulModBarrettScalar(uint64_t* a, const uint64_t* b, size_t n,
                          const Modulus& m);
-
-/// a[i] = a[i] * w mod q with the precomputed Shoup quotient for w < q;
-/// valid for any a[i] < 2^64 (lazy inputs included), outputs in [0, q).
-void MulModShoupVec(uint64_t* a, size_t n, uint64_t w, uint64_t w_shoup,
-                    uint64_t q);
-/// Scalar reference for MulModShoupVec.
-void MulModShoupScalar(uint64_t* a, size_t n, uint64_t w, uint64_t w_shoup,
-                       uint64_t q);
-
-/// \brief One retained-prime round of the CKKS rescale: for each coefficient
-/// c, center the dropped residue last[c] (of the dropped prime q_last),
-/// reduce it into q, subtract it from src[c], and multiply by
-/// (q_last mod q)^{-1}:
-///
-///   r_mod_q = last[c] > q_last/2 ? -Barrett(q_last - last[c]) mod q
-///                                :  Barrett(last[c]) mod q
-///   dst[c]  = (src[c] - r_mod_q) * q_last_inv mod q
-///
-/// src holds residues of the retained prime q (in [0, q)); dst may not alias
-/// src or last. q_last_inv/q_last_inv_shoup come precomputed from
-/// RnsContext (`rescale_q_last_inv`).
-void RescaleRoundVec(uint64_t* dst, const uint64_t* src, const uint64_t* last,
-                     size_t n, uint64_t q_last, const Modulus& m,
-                     uint64_t q_last_inv, uint64_t q_last_inv_shoup);
-/// Scalar reference for RescaleRoundVec.
-void RescaleRoundScalar(uint64_t* dst, const uint64_t* src,
-                        const uint64_t* last, size_t n, uint64_t q_last,
-                        const Modulus& m, uint64_t q_last_inv,
-                        uint64_t q_last_inv_shoup);
 
 }  // namespace vfps::he::detail
 

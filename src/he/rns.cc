@@ -49,17 +49,6 @@ Result<std::shared_ptr<const RnsContext>> RnsContext::Create(
     ctx->crt_q0_inv_q1_shoup_ =
         ShoupPrecompute(ctx->crt_q0_inv_q1_, ctx->primes_[1]);
   }
-  // Rescale drops the last prime; cache (q_last mod q_i)^{-1} for each
-  // retained prime so the hot path never calls InvMod.
-  if (ctx->primes_.size() >= 2) {
-    const uint64_t q_last = ctx->primes_.back();
-    for (size_t i = 0; i + 1 < ctx->primes_.size(); ++i) {
-      const uint64_t q = ctx->primes_[i];
-      const uint64_t inv = InvMod(q_last % q, q);
-      ctx->rescale_inv_.push_back(inv);
-      ctx->rescale_inv_shoup_.push_back(ShoupPrecompute(inv, q));
-    }
-  }
   return std::shared_ptr<const RnsContext>(ctx);
 }
 
@@ -192,13 +181,6 @@ void AddInPlace(const RnsContext& ctx, RnsPoly* a, const RnsPoly& b) {
   }
 }
 
-void SubInPlace(const RnsContext& ctx, RnsPoly* a, const RnsPoly& b) {
-  for (size_t i = 0; i < std::min(a->num_primes(), b.num_primes()); ++i) {
-    detail::SubModVec(a->residues[i].data(), b.residues[i].data(), ctx.n(),
-                      ctx.prime(i));
-  }
-}
-
 void NegateInPlace(const RnsContext& ctx, RnsPoly* a) {
   for (size_t i = 0; i < a->num_primes(); ++i) {
     detail::NegateModVec(a->residues[i].data(), ctx.n(), ctx.prime(i));
@@ -209,15 +191,6 @@ void MulPointwiseInPlace(const RnsContext& ctx, RnsPoly* a, const RnsPoly& b) {
   for (size_t i = 0; i < std::min(a->num_primes(), b.num_primes()); ++i) {
     detail::MulModBarrettVec(a->residues[i].data(), b.residues[i].data(),
                              ctx.n(), ctx.modulus(i));
-  }
-}
-
-void MulScalarInPlace(const RnsContext& ctx, RnsPoly* a, uint64_t scalar) {
-  for (size_t i = 0; i < a->num_primes(); ++i) {
-    const uint64_t q = ctx.prime(i);
-    const uint64_t s = BarrettReduce64(scalar, ctx.modulus(i));
-    const uint64_t s_shoup = ShoupPrecompute(s, q);
-    detail::MulModShoupVec(a->residues[i].data(), ctx.n(), s, s_shoup, q);
   }
 }
 

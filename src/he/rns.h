@@ -15,8 +15,9 @@ namespace vfps::he {
 /// Q = q_0 * q_1 * ... with NTT tables per prime.
 ///
 /// At most two primes are supported so that CRT composition fits in 128-bit
-/// integers; with 54-bit primes this gives Q up to ~2^108, ample for the
-/// additive homomorphic workload of the selection protocol.
+/// integers. The additive CKKS of the selection protocol uses one (see
+/// CkksParams); the two-prime composition remains for contexts built with
+/// two, which several tests pin.
 class RnsContext {
  public:
   /// \param n ring degree (power of two).
@@ -32,14 +33,6 @@ class RnsContext {
 
   /// Barrett-ready modulus for prime i (division-free pointwise arithmetic).
   const Modulus& modulus(size_t i) const { return ntt_[i].modulus(); }
-
-  /// \brief Rescale precompute: (q_last mod q_i)^{-1} mod q_i for each
-  /// retained prime i < num_primes() - 1, with its Shoup companion. Cached at
-  /// Create so CkksContext::Rescale does no per-call inversions.
-  uint64_t rescale_q_last_inv(size_t i) const { return rescale_inv_[i]; }
-  uint64_t rescale_q_last_inv_shoup(size_t i) const {
-    return rescale_inv_shoup_[i];
-  }
 
   /// Q as a long double (used only for headroom checks, never for arithmetic).
   long double modulus_approx() const { return q_approx_; }
@@ -57,8 +50,6 @@ class RnsContext {
   long double q_approx_ = 0.0L;
   uint64_t crt_q0_inv_q1_ = 0;
   uint64_t crt_q0_inv_q1_shoup_ = 0;
-  std::vector<uint64_t> rescale_inv_;
-  std::vector<uint64_t> rescale_inv_shoup_;
 };
 
 /// \brief Ring element in RNS representation: one residue vector of length n
@@ -109,14 +100,10 @@ void SampleGaussianInto(const RnsContext& ctx, Rng* rng, RnsPoly* out,
 
 /// a += b (must be in the same form).
 void AddInPlace(const RnsContext& ctx, RnsPoly* a, const RnsPoly& b);
-/// a -= b.
-void SubInPlace(const RnsContext& ctx, RnsPoly* a, const RnsPoly& b);
 /// a = -a.
 void NegateInPlace(const RnsContext& ctx, RnsPoly* a);
 /// a *= b pointwise (both must be in NTT form).
 void MulPointwiseInPlace(const RnsContext& ctx, RnsPoly* a, const RnsPoly& b);
-/// a *= scalar (integer scalar, any form).
-void MulScalarInPlace(const RnsContext& ctx, RnsPoly* a, uint64_t scalar);
 
 /// Transform to evaluation (NTT) form; no-op if already there.
 void ToNtt(const RnsContext& ctx, RnsPoly* a);

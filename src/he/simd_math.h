@@ -88,15 +88,6 @@ VFPS_TARGET_AVX2 inline __m256i Avx2MulModShoupLazy(__m256i a, __m256i w,
   return _mm256_sub_epi64(Avx2MulLo64(a, w), Avx2MulLo64(hi, q));
 }
 
-/// Lane-wise BarrettReduce64: reduce a < 2^64 to [0, q) with the modulus'
-/// high ratio word. Mirrors the scalar BarrettReduce64 exactly.
-VFPS_TARGET_AVX2 inline __m256i Avx2BarrettReduce64(__m256i a, __m256i ratio_hi,
-                                                    __m256i q) {
-  const __m256i q_est = Avx2MulHi64(a, ratio_hi);
-  const __m256i r = _mm256_sub_epi64(a, Avx2MulLo64(q_est, q));
-  return Avx2CSub(r, q);
-}
-
 // ---------------------------------------------------------------------------
 // AVX-512 (F + DQ): 8 x uint64 lanes
 // ---------------------------------------------------------------------------
@@ -135,15 +126,6 @@ VFPS_TARGET_AVX512 inline __m512i Avx512MulModShoupLazy(__m512i a, __m512i w,
                                                         __m512i q) {
   const __m512i hi = Avx512MulHi64(a, w_shoup);
   return _mm512_sub_epi64(Avx512MulLo64(a, w), Avx512MulLo64(hi, q));
-}
-
-/// Lane-wise BarrettReduce64 (see Avx2BarrettReduce64).
-VFPS_TARGET_AVX512 inline __m512i Avx512BarrettReduce64(__m512i a,
-                                                        __m512i ratio_hi,
-                                                        __m512i q) {
-  const __m512i q_est = Avx512MulHi64(a, ratio_hi);
-  const __m512i r = _mm512_sub_epi64(a, Avx512MulLo64(q_est, q));
-  return Avx512CSub(r, q);
 }
 
 }  // namespace vfps::he::detail

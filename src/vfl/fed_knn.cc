@@ -965,6 +965,13 @@ Status FederatedKnnOracle::AggregationRound(
   const auto is_held = [&held](size_t ai) {
     return !held.empty() && held[ai] != nullptr;
   };
+  // Every contribution to the a-way sum, a held one included (a join makes
+  // the sum wider than when it was encrypted), must stay inside the
+  // backend's summable range; past it a CKKS sum wraps modulo q.
+  for (size_t ai = 0; ai < a; ++ai) {
+    VFPS_RETURN_NOT_OK(env.backend->CheckSummable(
+        is_held(ai) ? held[ai]->values : values[ai], a));
+  }
 
   // Parties encrypt their vectors as one batch (identical ciphertexts at any
   // thread count, see HeBackend::EncryptBatch) and upload them; parties whose

@@ -83,6 +83,7 @@ Result<std::vector<double>> SplitLrProtocol::ForwardBatch(
         for (size_t j = 0; j < c; ++j) out[j] += bias_[j];
       }
     }
+    VFPS_RETURN_NOT_OK(backend_->CheckSummable(partial, selected_.size()));
     VFPS_ASSIGN_OR_RETURN(encrypted[idx], backend_->Encrypt(partial));
     VFPS_RETURN_NOT_OK(network_->Send(static_cast<int>(party),
                                       net::kAggregationServer,

@@ -326,6 +326,30 @@ TEST(FedKnnTest, RealCkksBackendAgreesWithPlain) {
   }
 }
 
+// One row far outside the standardized range: its partial distances are
+// past what a two-party CKKS sum can hold (q/2 over two addends), so the
+// oracle stops with the backend's OutOfRange instead of ranking sums that
+// wrapped modulo q. The plain backend has no such bound.
+TEST(FedKnnTest, UnsummableDistancesAreOutOfRange) {
+  Fixture ckks = Fixture::Make(150, 6, 2, /*ckks=*/true);
+  Fixture plain = Fixture::Make(150, 6, 2, /*ckks=*/false);
+  for (Fixture* f : {&ckks, &plain}) {
+    double* row = f->train.MutableRow(7);
+    for (size_t j = 0; j < 6; ++j) row[j] = 250.0;
+  }
+  // 6 * 250^2 spread over two parties: at least 3 * 250^2 on one of them.
+  ASSERT_LT(ckks.backend->SummableMagnitude(2), 3 * 250.0 * 250.0 * 0.9);
+  // BASE encrypts every row's distance, the outlier's included.
+  FedKnnConfig config;
+  config.k = 5;
+  config.num_queries = 5;
+  config.mode = KnnOracleMode::kBase;
+  auto run = ckks.Oracle().Run(config, nullptr);
+  EXPECT_TRUE(run.status().IsOutOfRange()) << run.status().ToString();
+  EXPECT_NE(run.status().message().find("2-party"), std::string::npos);
+  EXPECT_TRUE(plain.Oracle().Run(config, nullptr).ok());
+}
+
 TEST(FedKnnTest, ClassifyAccuracyMatchesCentralKnn) {
   Fixture f = Fixture::Make(400, 8, 2);
   std::vector<size_t> all = {0, 1};

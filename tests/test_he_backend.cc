@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 namespace vfps::he {
 namespace {
@@ -189,6 +190,77 @@ TEST(HeBackendSecurityTest, CkksBlobLooksUniform) {
   size_t used = 0;
   for (size_t count : histogram) used += (count > 0);
   EXPECT_GT(used, 200u);
+}
+
+// The bound a party checks before encrypting its share of a P-party sum, at
+// the default CKKS parameters (one 59-bit prime q, scale 2^40): just under
+// (q/2)/(P * scale) the sum decodes, just over it the backend refuses.
+TEST(HeBackendSummableTest, CkksPinsTheQOverPBound) {
+  auto be_or = CreateCkksBackend(/*seed=*/8);
+  ASSERT_TRUE(be_or.ok());
+  HeBackend& be = **be_or;
+  constexpr size_t kParties = 8;
+  const double limit = be.SummableMagnitude(kParties);
+  EXPECT_GT(limit, 32767.0);  // (2^58 / 8) / 2^40 = 2^15, less q's deficit
+  EXPECT_LT(limit, 32768.0);
+
+  for (double sign : {1.0, -1.0}) {
+    // Every slot at the bound is the encoding's worst case.
+    const std::vector<double> under(be.SlotsPerCiphertext(),
+                                    sign * limit * (1.0 - 1e-9));
+    ASSERT_TRUE(be.CheckSummable(under, kParties).ok());
+    std::vector<EncryptedVector> shares;
+    for (size_t p = 0; p < kParties; ++p) {
+      shares.push_back(be.Encrypt(under).ValueOrDie());
+    }
+    std::vector<const EncryptedVector*> ptrs;
+    for (const auto& e : shares) ptrs.push_back(&e);
+    auto sum = be.Decrypt(be.Sum(ptrs).ValueOrDie());
+    ASSERT_TRUE(sum.ok());
+    for (double got : *sum) ASSERT_NEAR(got, kParties * under[0], 1e-3);
+
+    std::vector<double> over = under;
+    over[17] = sign * limit * (1.0 + 1e-9);
+    const Status status = be.CheckSummable(over, kParties);
+    EXPECT_TRUE(status.IsOutOfRange()) << status.ToString();
+    // One addend fewer leaves room for it.
+    EXPECT_TRUE(be.CheckSummable(over, kParties - 1).ok());
+  }
+  const std::vector<double> nan = {std::nan("")};
+  EXPECT_TRUE(be.CheckSummable(nan, kParties).IsOutOfRange());
+}
+
+TEST(HeBackendSummableTest, PlainAndPaillierHaveNoSumBound) {
+  const std::vector<double> huge = {1e300, -1e300};
+  for (HeBackend* be : {PlainFixture()->get(), PaillierFixture()->get()}) {
+    EXPECT_TRUE(std::isinf(be->SummableMagnitude(8))) << be->name();
+    EXPECT_TRUE(be->CheckSummable(huge, 1000).ok()) << be->name();
+  }
+}
+
+// A blob must carry exactly the ciphertexts its value count takes: a forged
+// count is refused before anything is allocated for it, and a short blob
+// cannot make Sum index past the chunks it parsed.
+TEST(HeBackendWireTest, RejectsMismatchedCiphertextCounts) {
+  HeBackend* be = CkksFixture()->get();  // 512 slots
+  const EncryptedVector two =
+      be->Encrypt(std::vector<double>(600, 1.0)).ValueOrDie();
+  EncryptedVector forged = two;
+  std::memset(forged.blob.data(), 0xFF, sizeof(uint32_t));
+  EXPECT_TRUE(be->Decrypt(forged).status().IsProtocolError());
+  EncryptedVector wider = two;
+  wider.count = 1200;  // three ciphertexts' worth, two present
+  const EncryptedVector three =
+      be->Encrypt(std::vector<double>(1200, 1.0)).ValueOrDie();
+  EXPECT_TRUE(be->Sum({&three, &wider}).status().IsProtocolError());
+  EncryptedVector padded = two;
+  padded.blob.push_back(0);
+  EXPECT_TRUE(be->Decrypt(padded).status().IsProtocolError());
+
+  HeBackend* paillier = PaillierFixture()->get();
+  EncryptedVector scalar = paillier->Encrypt({1.0, 2.0}).ValueOrDie();
+  scalar.count = 3;
+  EXPECT_TRUE(paillier->Decrypt(scalar).status().IsProtocolError());
 }
 
 TEST(HeBackendTest, BackendNames) {

@@ -23,14 +23,20 @@
 // counts must match the same row, so the fixture also pins thread-count
 // invariance. A mismatch prints the cell's actual row in table syntax.
 //
-// Intended changes since the recording, all in the shards=4 rows (hoods,
-// cand and depth unchanged everywhere):
-//   - clock/counters: the d_T exchange reads the partials kept from the shard
-//     pass instead of recomputing them (no DistanceSeconds(k) charge per
-//     query), and the top-k modes keep the query's own row as a +inf item of
-//     its shard (charged as one more row, like the one-shard plan);
-//   - faulted stats/clock/counters: sharded runs now use the repair cache, so
-//     the repair run reuses the survivors' per-shard contributions.
+// Intended changes since the recording (hoods, cand and depth unchanged
+// everywhere):
+//   - shards=4 clock/counters: the d_T exchange reads the partials kept from
+//     the shard pass instead of recomputing them (no DistanceSeconds(k)
+//     charge per query), and the top-k modes keep the query's own row as a
+//     +inf item of its shard (charged as one more row, like the one-shard
+//     plan);
+//   - shards=4 faulted stats/clock/counters: sharded runs now use the repair
+//     cache, so the repair run reuses the survivors' per-shard contributions;
+//   - CKKS rows stats/counters: the default CKKS modulus is one 59-bit prime
+//     instead of two 54-bit primes, so every ciphertext, and with it the
+//     metered traffic bytes and the he.encrypt.bytes, net.bytes_sent and
+//     net.party.bytes counters, is about half as large (clock unchanged: it
+//     charges analytic bytes).
 
 #include <gtest/gtest.h>
 
@@ -247,11 +253,11 @@ const std::vector<Golden> kGolden = {
      {0xabe81733700b89b4ULL, 1966, 798, 0x7235038ffc674a0cULL,
       0x06cf189bd92eac53ULL, 0x0930467b978852e7ULL}},
     {{KnnOracleMode::kFagin, 1, 1, false, true},
-     {0xabe81733700b89b4ULL, 2608, 1280, 0x9c6f55420e33a282ULL,
-      0x2acb4e9ef4e9f7d0ULL, 0x3e3c1192606d6112ULL}},
+     {0xabe81733700b89b4ULL, 2608, 1280, 0x78123476f86c50c4ULL,
+      0x2acb4e9ef4e9f7d0ULL, 0x08a2fdb363c3e7fbULL}},
     {{KnnOracleMode::kBase, 1, 0, false, true},
-     {0xabe81733700b89b4ULL, 4188, 0, 0xe46cf23716e9aff1ULL,
-      0xc4a3c2d5faba082aULL, 0x467191d70b65690aULL}},
+     {0xabe81733700b89b4ULL, 4188, 0, 0xbeb4fe1413e50c30ULL,
+      0xc4a3c2d5faba082aULL, 0xd8433445aa10c8bcULL}},
     {{KnnOracleMode::kBase, 1, 1, true, false},
      {0xabe81733700b89b4ULL, 4188, 0, 0xa6c4fcc55d0b1d4aULL,
       0x0f37b6aff573cbccULL, 0xa2a7f2cddaf70d44ULL}},
@@ -274,11 +280,11 @@ const std::vector<Golden> kGolden = {
      {0xb3d19637eeefc9cfULL, 1565, 723, 0x3ed989a9c59b1006ULL,
       0x3364cfdf11582febULL, 0x1f12b933bf2cc0e9ULL}},
     {{KnnOracleMode::kFagin, 1, 1, true, true},
-     {0xb3d19637eeefc9cfULL, 1833, 896, 0x72757f0536c35e15ULL,
-      0x671c0e3d0c5b4e2bULL, 0x7794183ec58b69fdULL}},
+     {0xb3d19637eeefc9cfULL, 1833, 896, 0xd7856c31ccea369fULL,
+      0x671c0e3d0c5b4e2bULL, 0xd2e45f4c17842056ULL}},
     {{KnnOracleMode::kBase, 1, 0, true, true},
-     {0xb3d19637eeefc9cfULL, 4188, 0, 0xf0167072da79bdacULL,
-      0xf772085fbf148021ULL, 0x7598a34997bfc1ccULL}},
+     {0xb3d19637eeefc9cfULL, 4188, 0, 0xd4c98bc5cab7a4d9ULL,
+      0xf772085fbf148021ULL, 0x9b595a7bf6fde73aULL}},
 };
 // clang-format on
 
